@@ -45,7 +45,7 @@ _SIM_SECTIONS = {
     "mobility": ("route_half_length_m", "route_half_width_m", "speed_mps"),
     "traffic": ("packet_size_bytes", "queue_drop_ms", "payload_cv"),
     "sched": ("symbols_per_tick",),
-    "bounds": ("delay_bound_ms", "sinr_min_db", "sinr_max_db", "mcs_index_bound"),
+    "bounds": ("delay_bound_ms", "sinr_min_db", "sinr_max_db"),
 }
 
 _AGENT_FIELDS = (

@@ -26,12 +26,12 @@ seed, action sequence) reproduces identical KPI streams bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError
 from .link import McsTable, load_mcs_table
@@ -87,7 +87,6 @@ class SimConfig:
     delay_bound_ms: float = 400.0
     sinr_min_db: float = -10.0
     sinr_max_db: float = 40.0
-    mcs_index_bound: int = 14
 
     def __post_init__(self) -> None:
         self.validate()
@@ -140,8 +139,6 @@ class SimConfig:
             raise ConfigError("delay_bound_ms must be > 0")
         if self.sinr_min_db >= self.sinr_max_db:
             raise ConfigError("sinr_min_db must be < sinr_max_db")
-        if self.mcs_index_bound < 1:
-            raise ConfigError("mcs_index_bound must be >= 1")
 
     @property
     def steps_per_episode(self) -> int:
@@ -197,17 +194,20 @@ class StepKpis:
     packets_delivered: int
 
 
-def state_vector(kpis: StepKpis, config: SimConfig) -> np.ndarray:
+def state_vector(kpis: StepKpis, config: SimConfig, mcs_index_max: int) -> np.ndarray:
     """Min-max normalize KPIs into the fixed 8-feature agent state.
 
     Order: [mcs, symbols, sinr, delay_mean, delay_max, delay_min,
-    delay_std, prr]; every entry clamped to [0, 1].
+    delay_std, prr]; every entry clamped to [0, 1]. The MCS feature is
+    scaled by the table's top index (`McsTable.index_max`), so it reaches
+    1.0 exactly there whatever the table's length; a one-row table has
+    only index 0 and keeps the feature at 0.
     """
     budget = config.symbol_budget_per_period
     sinr_span = config.sinr_max_db - config.sinr_min_db
     raw = np.array(
         [
-            kpis.mcs_index / config.mcs_index_bound,
+            kpis.mcs_index / max(mcs_index_max, 1),
             kpis.ofdm_symbols_used / budget,
             (kpis.sinr_db - config.sinr_min_db) / sinr_span,
             kpis.delay_mean / config.delay_bound_ms,
@@ -221,18 +221,12 @@ def state_vector(kpis: StepKpis, config: SimConfig) -> np.ndarray:
     return np.clip(raw, 0.0, 1.0)
 
 
-class _Burst:
-    """Packets of one frame sharing an arrival time, drained head-first."""
-
-    __slots__ = ("arrival_ms", "period", "n_packets", "delivered", "head_bits", "bits_left")
-
-    def __init__(self, arrival_ms: int, period: int, n_packets: int, full_bits: int, last_bits: int):
-        self.arrival_ms = arrival_ms
-        self.period = period
-        self.n_packets = n_packets
-        self.delivered = 0
-        self.head_bits = full_bits if n_packets > 1 else last_bits
-        self.bits_left = full_bits * (n_packets - 1) + last_bits
+# A queued burst is the packets of one frame sharing an arrival time, kept
+# as a mutable list indexed by these positions. Every packet is full-size
+# except the burst's last one; `head` is the bits still to send of the
+# packet in transmission, `left` counts the packets not yet delivered,
+# that head packet included.
+_ARRIVAL, _PERIOD, _LEFT, _HEAD, _LAST = range(5)
 
 
 class NetworkEnv:
@@ -276,12 +270,11 @@ class NetworkEnv:
         n = cfg.n_vehicles
         rng_mob = np.random.default_rng(mob_ss)
         self._phase_m = rng_mob.uniform(0.0, cfg.route_perimeter_m, size=n)
-        shadow0 = self._rng_shadow.normal(0.0, cfg.shadowing_sigma_db, size=n)
-        # lfilter carry-over state: z = rho * y[last]
-        self._shadow_zi = (cfg.shadowing_corr * shadow0)[None, :]
+        # AR(1) shadowing carry-over: each vehicle's last value, in dB
+        self._shadow_last = self._rng_shadow.normal(0.0, cfg.shadowing_sigma_db, size=n).tolist()
 
         self._queues = [deque() for _ in range(n)]
-        self._queue_bits = np.zeros(n, dtype=np.int64)
+        self._queue_bits = [0] * n
         self._step_count = 0
         self._rr_counter = 0
         self.total_generated = 0
@@ -299,7 +292,7 @@ class NetworkEnv:
 
     def queued_packets(self) -> int:
         """Packets currently waiting or in transmission, fleet-wide."""
-        return sum(b.n_packets - b.delivered for q in self._queues for b in q)
+        return sum(b[_LEFT] for q in self._queues for b in q)
 
     # -- per-period physics --------------------------------------------
 
@@ -313,7 +306,6 @@ class NetworkEnv:
 
         a, b = cfg.route_half_length_m, cfg.route_half_width_m
         # counterclockwise from (a, -b): right side, top, left side, bottom
-        seg = np.empty_like(s)
         x = np.empty_like(s)
         y = np.empty_like(s)
         c1, c2, c3 = 2 * b, 2 * b + 2 * a, 4 * b + 2 * a
@@ -334,7 +326,16 @@ class NetworkEnv:
         sigma = cfg.shadowing_sigma_db
         rho = cfg.shadowing_corr
         innov = self._rng_shadow.standard_normal((ticks, n)) * (sigma * math.sqrt(1.0 - rho * rho))
-        shadow, self._shadow_zi = lfilter([1.0], [1.0, -rho], innov, axis=0, zi=self._shadow_zi)
+        # shadow[t] = innov[t] + rho * shadow[t - 1], one scalar chain per vehicle
+        columns = innov.T.tolist()
+        last = self._shadow_last
+        for v, column in enumerate(columns):
+            y_v = last[v]
+            for i, x_i in enumerate(column):
+                y_v = x_i + rho * y_v
+                column[i] = y_v
+            last[v] = y_v
+        shadow = np.ascontiguousarray(np.array(columns).T)
 
         pathloss = cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * np.log10(
             np.maximum(dist, 1.0)
@@ -343,51 +344,61 @@ class NetworkEnv:
         mcs_idx, eff = self.mcs_table.lookup(sinr_db)
         return sinr_db, mcs_idx, eff
 
-    def _enqueue_frame(self, vehicle: int, arrival_ms: int, period: int, mode: ApplicationMode, gen_counts):
+    def _enqueue_frame(self, vehicle: int, arrival_ms: int, period: int, mode: ApplicationMode) -> int:
+        """Queue one frame as a burst; returns its packet count."""
         cfg = self.config
         payload_kb = mode.mean_payload_kb * (
             1.0 + cfg.payload_cv * self._rng_payload.standard_normal()
         )
         payload_bytes = int(round(max(1.0, payload_kb) * 1000.0))
         n_full, rem = divmod(payload_bytes, cfg.packet_size_bytes)
+        full_bits = self._full_bits
         if rem:
             n_packets, last_bits = n_full + 1, rem * 8
         else:
-            n_packets, last_bits = n_full, self._full_bits
-        burst = _Burst(arrival_ms, period, n_packets, self._full_bits, last_bits)
-        self._queues[vehicle].append(burst)
-        self._queue_bits[vehicle] += burst.bits_left
-        gen_counts[vehicle] += n_packets
+            n_packets, last_bits = n_full, full_bits
+        head_bits = full_bits if n_packets > 1 else last_bits
+        self._queues[vehicle].append([arrival_ms, period, n_packets, head_bits, last_bits])
+        self._queue_bits[vehicle] += full_bits * (n_packets - 1) + last_bits
         self.total_generated += n_packets
+        return n_packets
 
-    def _drop_stale(self, vehicle: int, now_ms: int):
-        cutoff = now_ms - self.config.queue_drop_ms
-        q = self._queues[vehicle]
-        while q and q[0].arrival_ms < cutoff:
-            burst = q.popleft()
-            self.total_dropped += burst.n_packets - burst.delivered
-            self._queue_bits[vehicle] -= burst.bits_left
+    def _water_fill(self, needs: dict[int, int], budget: int, rr: int) -> dict[int, int]:
+        """Split a contended tick's symbols among the backlogged vehicles.
 
-    def _drain(self, vehicle: int, budget_bits: int, now_end_ms: int, period: int, delays, cohort_delivered):
-        q = self._queues[vehicle]
-        while budget_bits > 0 and q:
-            burst = q[0]
-            take = min(budget_bits, burst.head_bits)
-            burst.head_bits -= take
-            burst.bits_left -= take
-            budget_bits -= take
-            self._queue_bits[vehicle] -= take
-            if burst.head_bits == 0:
-                delays[vehicle].append(float(now_end_ms - burst.arrival_ms))
-                burst.delivered += 1
-                self.total_delivered += 1
-                if burst.period == period:
-                    cohort_delivered[vehicle] += 1
-                if burst.delivered == burst.n_packets:
-                    q.popleft()
+        Equal shares, the remainder going round-robin from the tick counter
+        `rr`; whatever a vehicle cannot use flows back to the others.
+        `needs` may be consumed.
+        """
+        vids = sorted(needs)
+        m = len(vids)
+        base, extra = divmod(budget, m)
+        if min(needs.values()) >= base + (extra > 0):
+            # the first round saturates nobody, so it spends the whole budget
+            return {v: g for i, v in enumerate(vids) if (g := base + ((i - rr) % m < extra))}
+        remaining = budget
+        used: dict[int, int] = {}
+        while remaining > 0 and needs:
+            vids = sorted(needs)
+            m = len(vids)
+            base, extra = divmod(remaining, m)
+            consumed = 0
+            for i, v in enumerate(vids):
+                grant = base + (1 if (i - rr) % m < extra else 0)
+                take = min(grant, needs[v])
+                if take:
+                    used[v] = used.get(v, 0) + take
+                    consumed += take
+                if take >= needs[v]:
+                    del needs[v]
                 else:
-                    last = burst.delivered == burst.n_packets - 1
-                    burst.head_bits = burst.bits_left if last else self._full_bits
+                    needs[v] -= take
+            remaining -= consumed
+            if consumed == 0:
+                break
+        if remaining > 0 and needs:
+            self.scheduler_idle_violations += 1
+        return used
 
     # -- the control-period step ---------------------------------------
 
@@ -414,85 +425,132 @@ class NetworkEnv:
         ticks = cfg.ticks_per_period
         tick_ms = cfg.tick_ms
         re_sym = cfg.re_per_symbol
+        symbols_per_tick = cfg.symbols_per_tick
+        drop_ms = cfg.queue_drop_ms
+        full_bits = self._full_bits
 
         sinr_db, mcs_idx, eff = self._channel_for_period(start_ms)
+        eff_rows = eff.tolist()
 
-        # frame arrival tick offsets within this period (same for the fleet)
+        # frames arriving at each tick offset within this period (same for the fleet)
         interval = self._frame_interval_ms
         first = math.ceil(start_ms / interval - 1e-9)
-        arrival_ticks = {}
+        arrivals: dict[int, int] = {}
         k = first
         while k * interval < end_ms - 1e-9:
-            arrival_ticks.setdefault(int((k * interval - start_ms) // tick_ms), []).append(k)
+            t = int((k * interval - start_ms) // tick_ms)
+            arrivals[t] = arrivals.get(t, 0) + 1
             k += 1
 
+        queues = self._queues
+        queue_bits = self._queue_bits
         gen_counts = [0] * n
         cohort_delivered = [0] * n
-        delays: list[list[float]] = [[] for _ in range(n)]
-        symbols_used = np.zeros(n, dtype=np.int64)
-        queue_bits = self._queue_bits
+        symbols_used = [0] * n
+        # per vehicle, the period's delivery delays as flat (delay, packets)
+        # runs in delivery order: every packet of a burst finished in one
+        # tick shares one delay
+        delay_runs: list[list[int]] = [[] for _ in range(n)]
+        delivered = 0
+        dropped = 0
 
-        for t in range(ticks):
+        rr = self._rr_counter
+        t = 0
+        while t < ticks:
             now_ms = start_ms + t * tick_ms
-            if t in arrival_ticks:
-                for _ in arrival_ticks[t]:
+            frames = arrivals.get(t)
+            if frames:
+                for _ in range(frames):
                     for v in range(n):
-                        self._enqueue_frame(v, now_ms, period, modes[v], gen_counts)
-            for v in range(n):
-                if self._queues[v]:
-                    self._drop_stale(v, now_ms)
-
-            tick_eff = eff[t]
+                        gen_counts[v] += self._enqueue_frame(v, now_ms, period, modes[v])
+            elif not any(queue_bits):
+                # empty cell: nothing to drop, schedule or drain before the next frame
+                t = min((a for a in arrivals if a > t), default=ticks)
+                continue
+            # bursts older than the residency bound are dropped whole, then
+            # each backlogged, non-outage vehicle asks for the symbols that
+            # would empty its queue
+            cutoff = now_ms - drop_ms
+            tick_eff = eff_rows[t]
             needs = {}
             for v in range(n):
+                q = queues[v]
+                if not q:
+                    continue
+                while q and q[0][_ARRIVAL] < cutoff:
+                    _, _, left, head, last = q.popleft()
+                    dropped += left
+                    queue_bits[v] -= head if left == 1 else head + (left - 2) * full_bits + last
                 if queue_bits[v] > 0 and tick_eff[v] > 0.0:
                     needs[v] = math.ceil(queue_bits[v] / (re_sym * tick_eff[v]))
-            remaining = cfg.symbols_per_tick
-            rr = self._rr_counter
-            used = {}
-            while remaining > 0 and needs:
-                vids = sorted(needs)
-                m = len(vids)
-                base, extra = divmod(remaining, m)
-                consumed = 0
-                for i, v in enumerate(vids):
-                    grant = base + (1 if (i - rr) % m < extra else 0)
-                    take = min(grant, needs[v])
-                    if take:
-                        used[v] = used.get(v, 0) + take
-                        consumed += take
-                    if take >= needs[v]:
-                        del needs[v]
-                    else:
-                        needs[v] -= take
-                remaining -= consumed
-                if consumed == 0:
-                    break
-            if remaining > 0 and needs:
-                self.scheduler_idle_violations += 1
-            self._rr_counter += 1
+            # an uncontended tick grants every vehicle exactly its need
+            if sum(needs.values()) <= symbols_per_tick:
+                used = needs
+            else:
+                used = self._water_fill(needs, symbols_per_tick, rr + t)
 
             now_end = now_ms + tick_ms
             for v, sym in used.items():
                 symbols_used[v] += sym
-                budget_bits = int(sym * re_sym * tick_eff[v])
-                self._drain(v, budget_bits, now_end, period, delays, cohort_delivered)
+                bits = int(sym * re_sym * tick_eff[v])
+                queue_bits[v] -= min(bits, queue_bits[v])
+                q = queues[v]
+                runs = delay_runs[v]
+                while q:
+                    burst = q[0]
+                    head = burst[_HEAD]
+                    if bits < head:
+                        burst[_HEAD] = head - bits
+                        break
+                    # finish the head, then whole full-size packets, then
+                    # the short last packet if the budget still covers it
+                    bits -= head
+                    left = burst[_LEFT] - 1
+                    sent = 1
+                    if left > 1:
+                        whole = min(bits // full_bits, left - 1)
+                        bits -= whole * full_bits
+                        left -= whole
+                        sent += whole
+                    if left == 1 and bits >= burst[_LAST]:
+                        bits -= burst[_LAST]
+                        left = 0
+                        sent += 1
+                    runs += (now_end - burst[_ARRIVAL], sent)
+                    delivered += sent
+                    if burst[_PERIOD] == period:
+                        cohort_delivered[v] += sent
+                    if left:
+                        # the budget ran out inside the next packet
+                        burst[_LEFT] = left
+                        burst[_HEAD] = (full_bits if left > 1 else burst[_LAST]) - bits
+                        break
+                    q.popleft()
+            t += 1
+
+        self._rr_counter = rr + ticks
+        self.total_delivered += delivered
+        self.total_dropped += dropped
 
         # -- aggregation ------------------------------------------------
         mean_sinr = sinr_db.mean(axis=0)
         mean_mcs = mcs_idx.mean(axis=0)
+        mcs_index_max = self.mcs_table.index_max
         states = np.empty((n, _STATE_SIZE), dtype=np.float64)
         kpis_out: list[StepKpis] = []
         samples: list[QosSample] = []
         for v in range(n):
-            if delays[v]:
-                d = np.asarray(delays[v])
-                d_mean, d_max, d_min, d_std = (
-                    float(d.mean()),
-                    float(d.max()),
-                    float(d.min()),
-                    float(d.std()),
-                )
+            runs = delay_runs[v]
+            if runs:
+                # delays are whole milliseconds, so the sum is exact and the
+                # mean equals numpy's; std needs numpy's own summation order
+                values, counts = runs[0::2], runs[1::2]
+                d_max, d_min = float(max(values)), float(min(values))
+                d_mean = sum(map(operator.mul, values, counts)) / sum(counts)
+                if d_min == d_max:
+                    d_std = 0.0
+                else:
+                    d_std = float(np.repeat(np.array(values, dtype=np.float64), counts).std())
             else:
                 # nothing delivered: saturate at the residency bound
                 d_mean = d_max = d_min = cfg.queue_drop_ms
@@ -501,7 +559,7 @@ class NetworkEnv:
             prr = cohort_delivered[v] / gen if gen > 0 else 1.0
             kpis = StepKpis(
                 mcs_index=int(round(mean_mcs[v])),
-                ofdm_symbols_used=int(symbols_used[v]),
+                ofdm_symbols_used=symbols_used[v],
                 sinr_db=float(mean_sinr[v]),
                 delay_mean=d_mean,
                 delay_max=d_max,
@@ -513,7 +571,7 @@ class NetworkEnv:
             )
             kpis_out.append(kpis)
             samples.append(QosSample(prr=prr, mean_delay_ms=d_mean, cd=modes[v].cd_sym))
-            states[v] = state_vector(kpis, cfg)
+            states[v] = state_vector(kpis, cfg, mcs_index_max)
 
         self._step_count += 1
         return states, samples, kpis_out, self.done

@@ -303,12 +303,11 @@ def run_test(config: ExperimentConfig, output_dir, policy, agent: DqnAgent | Non
     if agent is not None and weights_digest(agent) != digest_before:
         raise RuntimeError("agent weights changed during the test phase")
 
-    summary = summarize_test(records, label)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_records_csv(records, out / "records.csv")
     write_episodes_csv(records, out / "episodes.csv")
-    emit_figures_csv(records, out)
+    summary = emit_figures_csv(records, out)
     return records, summary
 
 
@@ -396,8 +395,11 @@ def write_episodes_csv(records: list[EpisodeRecord], path) -> None:
             )
 
 
-def emit_figures_csv(records: list[EpisodeRecord], output_dir) -> None:
+def emit_figures_csv(records: list[EpisodeRecord], output_dir) -> TestSummary:
     """Write the five figure-ready CSVs for a set of episode records.
+
+    Returns the records' `TestSummary`, labeled with their policy, which
+    the delay boxplot is drawn from.
 
     action_probability: per-episode selection frequency of each mode;
     cd_distribution: histogram of per-step chamfer distances;
@@ -458,6 +460,7 @@ def emit_figures_csv(records: list[EpisodeRecord], output_dir) -> None:
         w.writerow(["percentile", "normalized_reward"])
         for q in range(101):
             w.writerow([q, repr(float(np.percentile(rewards, q)))])
+    return summary
 
 
 def read_records_csv(path) -> list[EpisodeRecord]:

@@ -35,8 +35,6 @@ DEFAULT_MCS_TABLE = np.array(
     dtype=np.float64,
 )
 
-MCS_INDEX_MAX = len(DEFAULT_MCS_TABLE) - 1
-
 
 class McsTable:
     """Piecewise-constant, non-decreasing SINR -> (index, efficiency) map."""

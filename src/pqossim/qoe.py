@@ -19,7 +19,6 @@ uses a k-d tree and handles 120k-point clouds in seconds.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # Element budget per temporary difference block in the dense path; chunking
 # the source rows bounds memory without changing any result.
@@ -73,8 +72,11 @@ def chamfer_sym_accelerated(reference, candidate) -> float:
     """Symmetric chamfer distance via k-d tree nearest-neighbor queries.
 
     Matches `chamfer_sym` to within 1e-9 relative; use this for large
-    clouds (a 120k-point frame completes in seconds).
+    clouds (a 120k-point frame completes in seconds). scipy is imported
+    here, not at module level, so `import pqossim` does not pay for it.
     """
+    from scipy.spatial import cKDTree
+
     ref = as_point_cloud(reference)
     cand = as_point_cloud(candidate)
     d_ref, _ = cKDTree(cand).query(ref, k=1)

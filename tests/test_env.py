@@ -183,7 +183,7 @@ def test_state_vector_layout():
     env.reset(13)
     states, _, kpis, _ = env.step([MODE_1452])
     k = kpis[0]
-    expected = state_vector(k, cfg)
+    expected = state_vector(k, cfg, env.mcs_table.index_max)
     assert np.array_equal(states[0], expected)
     assert states.shape[1] == 8
     assert expected[7] == k.prr  # prr is native [0,1]
@@ -279,3 +279,28 @@ def test_config_independent_instances():
     env1.step([MODE_RAW, MODE_RAW])
     before = env2.queued_packets()
     assert before == 0
+
+
+@pytest.mark.parametrize("rows", [10, 20])
+def test_mcs_feature_reaches_one_at_the_table_top(rows):
+    # every threshold lies far below the cell's SINR: each tick sits at the
+    # table's top index, which must map to exactly 1.0 whatever the length
+    table = McsTable(np.column_stack([np.linspace(-40.0, -20.0, rows), np.linspace(0.5, 6.0, rows)]))
+    env = NetworkEnv(quick_cfg(n_vehicles=2), mcs_table=table)
+    env.reset(19)
+    states, _, kpis, _ = env.step([MODE_1452, MODE_1452])
+    assert [k.mcs_index for k in kpis] == [rows - 1] * 2
+    assert np.all(states[:, 0] == 1.0)
+
+
+def test_mcs_feature_scales_by_the_table_top_index():
+    table = McsTable(np.column_stack([np.linspace(0.0, 60.0, 20), np.linspace(0.5, 6.0, 20)]))
+    env = NetworkEnv(quick_cfg(n_vehicles=3, episode_duration_s=1.0), mcs_table=table)
+    env.reset(20)
+    seen = set()
+    while not env.done:
+        states, _, kpis, _ = env.step([MODE_1451] * 3)
+        for v, k in enumerate(kpis):
+            seen.add(k.mcs_index)
+            assert states[v, 0] == k.mcs_index / 19
+    assert max(seen) < 19  # the feature is not saturated below the top
