@@ -6,7 +6,7 @@ link QoS (delay, packet reception) against point-cloud fidelity.
 """
 
 from .config import ExperimentConfig, default_config, load_config
-from .dqn import AgentConfig, DqnAgent, QNetwork, ReplayBuffer, Transition, double_q_target, forward, select_action
+from .dqn import AgentConfig, DqnAgent, QNetwork, ReplayBuffer, Transition, forward, select_action
 from .env import NetworkEnv, SimConfig, StepKpis, state_vector
 from .errors import CheckpointError, ConfigError
 from .harness import run_offline_training, run_online_training, run_test, emit_figures_csv
@@ -60,7 +60,6 @@ __all__ = [
     "chamfer_sym_accelerated",
     "compute_reward",
     "default_config",
-    "double_q_target",
     "emit_figures_csv",
     "forward",
     "load_config",

@@ -10,6 +10,7 @@ involved, which keeps runs bit-reproducible across machines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,11 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class Transition:
-    """One replay record: (s, a, r, s', terminal)."""
+    """One replay record (s, a, r, s', terminal), or a batch of them.
+
+    `ReplayBuffer.sample` and `DqnAgent.train_batch` use the batched form:
+    every field carries a leading batch axis.
+    """
 
     state: np.ndarray
     action: int
@@ -74,20 +79,38 @@ class Transition:
 
 
 class QNetwork:
-    """Dense ReLU network with a linear head, float64 throughout."""
+    """Dense ReLU network with a linear head, float64 throughout.
+
+    All parameters live in one contiguous vector `flat`, laid out
+    w0, b0, w1, b1, ...; `weights` and `biases` are reshaped views into it.
+    """
 
     def __init__(self, layer_sizes=DEFAULT_LAYER_SIZES, rng: np.random.Generator | None = None):
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output layer")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        # (start, stop, shape) of w0, b0, w1, b1, ... inside the flat vector
+        self._spans = []
+        at = 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                size = math.prod(shape)
+                self._spans.append((at, at + size, shape))
+                at += size
+        self.flat = np.zeros(at, dtype=np.float64)
+        params = self.views(self.flat)
+        self.weights: list[np.ndarray] = params[0::2]
+        self.biases: list[np.ndarray] = params[1::2]
+        for w in self.weights:
             # uniform Glorot bounds keep initial q-values near zero
+            fan_in, fan_out = w.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out, dtype=np.float64))
+            w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Split a parameter-sized vector into views shaped w0, b0, w1, b1, ..."""
+        return [vec[start:stop].reshape(shape) for start, stop, shape in self._spans]
 
     @property
     def n_inputs(self) -> int:
@@ -105,8 +128,7 @@ class QNetwork:
         return params
 
     def copy_from(self, other: "QNetwork") -> None:
-        for dst, src in zip(self.parameters(), other.parameters()):
-            np.copyto(dst, src)
+        np.copyto(self.flat, other.flat)
 
     def clone(self) -> "QNetwork":
         out = QNetwork(self.layer_sizes)
@@ -120,7 +142,8 @@ class QNetwork:
             raise ValueError(f"expected (B, {self.n_inputs}) states, got {h.shape}")
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i != last:
                 np.maximum(h, 0.0, out=h)
         return h
@@ -150,40 +173,68 @@ def select_action(net: QNetwork, state, epsilon: float, rng: np.random.Generator
     return int(np.argmax(net.forward(state)))
 
 
-def double_q_target(online: QNetwork, target: QNetwork, t: Transition, discount: float) -> float:
-    """Bootstrap target: online net selects the action, target net scores it."""
-    if t.terminal:
-        return float(t.reward)
-    a_star = int(np.argmax(online.forward(t.next_state)))
-    return float(t.reward + discount * target.forward(t.next_state)[a_star])
+def double_q_targets(online: QNetwork, target: QNetwork, batch: Transition, discount: float) -> np.ndarray:
+    """Bootstrap targets of a batch: the online net selects, the target net scores.
+
+    Terminal transitions keep their bare reward.
+    """
+    a_star = np.argmax(online.forward_batch(batch.next_state), axis=1)
+    boot = target.forward_batch(batch.next_state)[np.arange(len(a_star)), a_star]
+    return batch.reward + np.where(batch.terminal, 0.0, discount * boot)
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform batch sampling."""
+    """Fixed-capacity ring of transitions with uniform batch sampling.
+
+    The ring is a set of preallocated arrays, one row per transition,
+    sized from the first pushed state; `np.empty` leaves the pages
+    untouched until the ring fills them.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._store: list[Transition] = []
+        self._fill = 0
         self._next = 0
+        self._states = None  # allocated on the first push
 
     def __len__(self) -> int:
-        return len(self._store)
+        return self._fill
 
     def push(self, t: Transition) -> None:
-        if len(self._store) < self.capacity:
-            self._store.append(t)
-        else:
-            self._store[self._next] = t
-        self._next = (self._next + 1) % self.capacity
+        if self._states is None:
+            shape = (self.capacity, *np.shape(t.state))
+            self._states = np.empty(shape, dtype=np.float64)
+            self._next_states = np.empty(shape, dtype=np.float64)
+            self._actions = np.empty(self.capacity, dtype=np.int64)
+            self._rewards = np.empty(self.capacity, dtype=np.float64)
+            self._terminal = np.empty(self.capacity, dtype=bool)
+        i = self._next
+        self._states[i] = t.state
+        self._actions[i] = t.action
+        self._rewards[i] = t.reward
+        self._next_states[i] = t.next_state
+        self._terminal[i] = t.terminal
+        self._next = (i + 1) % self.capacity
+        if self._fill < self.capacity:
+            self._fill += 1
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform sample without replacement, or None while under-filled."""
-        if len(self._store) < batch_size:
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Transition | None:
+        """Uniform sample without replacement, or None while under-filled.
+
+        The sample is one Transition whose fields carry a leading batch axis.
+        """
+        if self._fill < batch_size:
             return None
-        idx = rng.choice(len(self._store), size=batch_size, replace=False)
-        return [self._store[i] for i in idx]
+        idx = rng.choice(self._fill, size=batch_size, replace=False)
+        return Transition(
+            self._states[idx],
+            self._actions[idx],
+            self._rewards[idx],
+            self._next_states[idx],
+            self._terminal[idx],
+        )
 
 
 class DqnAgent:
@@ -195,14 +246,23 @@ class DqnAgent:
         self.online = QNetwork(layer_sizes, init_rng)
         self.target = self.online.clone()
         self.step_count = 0
-        params = self.online.parameters()
-        self._adam_m = [np.zeros_like(p) for p in params]
-        self._adam_v = [np.zeros_like(p) for p in params]
+        # Adam moments, laid out like the online network's flat vector
+        self._adam_m = np.zeros_like(self.online.flat)
+        self._adam_v = np.zeros_like(self.online.flat)
 
     # -- gradients -------------------------------------------------------
 
     def _loss_and_grads(self, states, actions, targets):
-        """MSE loss at the taken actions and its parameter gradients."""
+        """MSE loss at the taken actions and its parameter gradients.
+
+        The gradients are aligned with `parameters()`: views into one
+        fresh vector, see `_loss_and_grad_vector`.
+        """
+        loss, grad = self._loss_and_grad_vector(states, actions, targets)
+        return loss, self.online.views(grad)
+
+    def _loss_and_grad_vector(self, states, actions, targets):
+        """MSE loss and its gradient as one vector laid out like `online.flat`."""
         net = self.online
         batch = states.shape[0]
         acts = [states]
@@ -210,77 +270,77 @@ class DqnAgent:
         h = states
         last = len(net.weights) - 1
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            z = h @ w + b
+            z = h @ w
+            z += b
             pre.append(z)
             h = z if i == last else np.maximum(z, 0.0)
             acts.append(h)
         q = acts[-1]
-        picked = q[np.arange(batch), actions]
-        err = picked - targets
-        loss = float(np.mean(err * err))
+        rows = np.arange(batch)
+        err = q[rows, actions] - targets
+        # sum / batch is exactly np.mean
+        loss = float((err * err).sum() / batch)
 
-        dq = np.zeros_like(q)
-        dq[np.arange(batch), actions] = 2.0 * err / batch
-        grads_w = [None] * len(net.weights)
-        grads_b = [None] * len(net.biases)
-        delta = dq
+        grad = np.empty_like(net.flat)
+        grads = net.views(grad)
+        delta = np.zeros_like(q)
+        delta[rows, actions] = 2.0 * err / batch
         for i in range(last, -1, -1):
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            np.matmul(acts[i].T, delta, out=grads[2 * i])
+            delta.sum(axis=0, out=grads[2 * i + 1])
             if i > 0:
                 delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
-        grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.append(gw)
-            grads.append(gb)
-        return loss, grads
+        return loss, grad
 
-    def _adam_step(self, grads) -> None:
+    def _adam_step(self, grad: np.ndarray) -> None:
+        """One AdamW update of the online network from a flat gradient."""
         cfg = self.config
         self.step_count += 1
         t = self.step_count
         corr1 = 1.0 - ADAM_BETA1**t
         corr2 = 1.0 - ADAM_BETA2**t
-        for p, g, m, v in zip(self.online.parameters(), grads, self._adam_m, self._adam_v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            update = (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
-            # decoupled weight decay: not part of the moment estimates
-            p -= cfg.learning_rate * (update + cfg.weight_decay * p)
+        p, m, v = self.online.flat, self._adam_m, self._adam_v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (grad * grad)
+        update = (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+        # decoupled weight decay: not part of the moment estimates
+        p -= cfg.learning_rate * (update + cfg.weight_decay * p)
 
-    def train_batch(self, batch: list[Transition]) -> float:
-        """One gradient step on a batch; returns the pre-update loss.
+    def train_batch(self, batch: Transition) -> float:
+        """One gradient step on a batched Transition; returns the pre-update loss.
 
         Targets are double-DQN bootstraps treated as constants. The target
         network is refreshed by full copy every `target_sync_period` steps.
         """
-        if not batch:
-            raise ValueError("batch is empty")
-        if len(batch) != self.config.batch_size:
-            raise ValueError(
-                f"batch size {len(batch)} != configured {self.config.batch_size}"
-            )
-        states = np.stack([t.state for t in batch]).astype(np.float64)
-        actions = np.array([t.action for t in batch], dtype=np.int64)
-        next_states = np.stack([t.next_state for t in batch]).astype(np.float64)
-        rewards = np.array([t.reward for t in batch], dtype=np.float64)
-        terminal = np.array([t.terminal for t in batch], dtype=bool)
-
-        q_next_online = self.online.forward_batch(next_states)
-        q_next_target = self.target.forward_batch(next_states)
-        a_star = np.argmax(q_next_online, axis=1)
-        boot = q_next_target[np.arange(len(batch)), a_star]
-        targets = rewards + np.where(terminal, 0.0, self.config.discount * boot)
-
-        loss, grads = self._loss_and_grads(states, actions, targets)
-        self._adam_step(grads)
+        size = np.shape(batch.action)
+        if size != (self.config.batch_size,):
+            raise ValueError(f"batch of shape {size} != ({self.config.batch_size},)")
+        targets = double_q_targets(self.online, self.target, batch, self.config.discount)
+        loss, grad = self._loss_and_grad_vector(
+            np.asarray(batch.state, dtype=np.float64), batch.action, targets
+        )
+        self._adam_step(grad)
         if self.step_count % self.config.target_sync_period == 0:
             self.target.copy_from(self.online)
         return loss
 
     # -- persistence -------------------------------------------------------
+
+    def _checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """Checkpoint key -> live view of every parameter and moment tensor."""
+        out = {}
+        for prefix, net in (("", self.online), ("target_", self.target)):
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                out[f"{prefix}w{i}"] = w
+                out[f"{prefix}b{i}"] = b
+        # moment arrays follow the parameter order: w0, b0, w1, b1, ...
+        moments = zip(self.online.views(self._adam_m), self.online.views(self._adam_v))
+        for i, (m, v) in enumerate(moments):
+            out[f"adam_m{i}"] = m
+            out[f"adam_v{i}"] = v
+        return out
 
     def save(self, path, action_mode_ids=AGENT_ACTION_IDS) -> None:
         """Write a versioned checkpoint; round-trips bit-exact."""
@@ -290,15 +350,7 @@ class DqnAgent:
             "step_count": np.int64(self.step_count),
             "action_mode_ids": np.asarray(action_mode_ids, dtype=np.int64),
         }
-        for i, (w, b) in enumerate(zip(self.online.weights, self.online.biases)):
-            data[f"w{i}"] = w
-            data[f"b{i}"] = b
-        for i, (w, b) in enumerate(zip(self.target.weights, self.target.biases)):
-            data[f"target_w{i}"] = w
-            data[f"target_b{i}"] = b
-        for i, (m, v) in enumerate(zip(self._adam_m, self._adam_v)):
-            data[f"adam_m{i}"] = m
-            data[f"adam_v{i}"] = v
+        data.update(self._checkpoint_arrays())
         np.savez(path, **data)
 
     @classmethod
@@ -318,24 +370,10 @@ class DqnAgent:
             sizes = tuple(int(s) for s in data["layer_sizes"])
             agent = cls(config, layer_sizes=sizes)
             agent.step_count = int(data["step_count"])
-            n_layers = len(sizes) - 1
-            for i in range(n_layers):
-                agent.online.weights[i] = _checked(data[f"w{i}"], agent.online.weights[i].shape, path)
-                agent.online.biases[i] = _checked(data[f"b{i}"], agent.online.biases[i].shape, path)
-                agent.target.weights[i] = _checked(
-                    data[f"target_w{i}"], agent.target.weights[i].shape, path
-                )
-                agent.target.biases[i] = _checked(
-                    data[f"target_b{i}"], agent.target.biases[i].shape, path
-                )
-            # moment arrays follow the parameter order: w0, b0, w1, b1, ...
-            params = agent.online.parameters()
-            agent._adam_m = [
-                _checked(data[f"adam_m{i}"], params[i].shape, path) for i in range(len(params))
-            ]
-            agent._adam_v = [
-                _checked(data[f"adam_v{i}"], params[i].shape, path) for i in range(len(params))
-            ]
+            # write into the live views, so weights, biases and moments stay
+            # windows on their flat vectors
+            for key, view in agent._checkpoint_arrays().items():
+                np.copyto(view, _checked(data[key], view.shape, path))
             return agent
         except KeyError as exc:
             raise CheckpointError(f"{path}: checkpoint missing field {exc}") from exc
@@ -352,6 +390,6 @@ class DqnAgent:
 
 def _checked(arr: np.ndarray, shape, path) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
-    if shape is not None and arr.shape != tuple(shape):
+    if arr.shape != tuple(shape):
         raise CheckpointError(f"{path}: checkpoint array has shape {arr.shape}, expected {shape}")
     return arr

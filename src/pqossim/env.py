@@ -248,6 +248,17 @@ class NetworkEnv:
             self.mcs_table = McsTable()
         self._full_bits = config.packet_size_bytes * 8
         self._frame_interval_ms = 1000.0 / config.frame_rate_hz
+        # the route as four segments counterclockwise from (a, -b): right
+        # side, top, left side, bottom; each has a start (arc length and
+        # corner) and a unit direction
+        a, b = config.route_half_length_m, config.route_half_width_m
+        c1, c2, c3 = 2 * b, 2 * b + 2 * a, 4 * b + 2 * a
+        self._seg_ends = np.array([c1, c2, c3])
+        self._seg_start = np.array([0.0, c1, c2, c3])
+        self._seg_x0 = np.array([a, a, -a, -a])
+        self._seg_sx = np.array([0.0, -1.0, 0.0, 1.0])
+        self._seg_y0 = np.array([-b, b, b, -b])
+        self._seg_sy = np.array([1.0, 0.0, -1.0, 0.0])
         self._ready = False
 
     # -- lifecycle -----------------------------------------------------
@@ -304,23 +315,11 @@ class NetworkEnv:
         t_s = (period_start_ms + np.arange(ticks, dtype=np.float64) * cfg.tick_ms) / 1000.0
         s = (self._phase_m[None, :] + cfg.speed_mps * t_s[:, None]) % cfg.route_perimeter_m
 
-        a, b = cfg.route_half_length_m, cfg.route_half_width_m
-        # counterclockwise from (a, -b): right side, top, left side, bottom
-        x = np.empty_like(s)
-        y = np.empty_like(s)
-        c1, c2, c3 = 2 * b, 2 * b + 2 * a, 4 * b + 2 * a
-        m0 = s < c1
-        m1 = (s >= c1) & (s < c2)
-        m2 = (s >= c2) & (s < c3)
-        m3 = s >= c3
-        x[m0] = a
-        y[m0] = -b + s[m0]
-        x[m1] = a - (s[m1] - c1)
-        y[m1] = b
-        x[m2] = -a
-        y[m2] = b - (s[m2] - c2)
-        x[m3] = -a + (s[m3] - c3)
-        y[m3] = -b
+        # position along the segment s falls in, in closed form
+        k = np.searchsorted(self._seg_ends, s, side="right")
+        d = s - self._seg_start[k]
+        x = self._seg_x0[k] + self._seg_sx[k] * d
+        y = self._seg_y0[k] + self._seg_sy[k] * d
         dist = np.hypot(x, y)
 
         sigma = cfg.shadowing_sigma_db
@@ -486,6 +485,9 @@ class NetworkEnv:
             # an uncontended tick grants every vehicle exactly its need
             if sum(needs.values()) <= symbols_per_tick:
                 used = needs
+            elif len(needs) == 1:
+                # a lone schedulable vehicle takes the whole budget
+                used = dict.fromkeys(needs, symbols_per_tick)
             else:
                 used = self._water_fill(needs, symbols_per_tick, rr + t)
 

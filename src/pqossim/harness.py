@@ -140,8 +140,8 @@ def _epsilon_for_episode(cfg, episode: int) -> float:
 def weights_digest(agent: DqnAgent) -> str:
     """SHA-256 over all online and target parameters; guards phase isolation."""
     h = hashlib.sha256()
-    for p in agent.online.parameters() + agent.target.parameters():
-        h.update(np.ascontiguousarray(p).tobytes())
+    for net in (agent.online, agent.target):
+        h.update(net.flat.tobytes())
     return h.hexdigest()
 
 
@@ -181,10 +181,10 @@ def _run_episode(
                 action_index = _action_index(modes[v])
                 buffer.push(
                     Transition(
-                        state=states[v].copy(),
+                        state=states[v],
                         action=action_index,
                         reward=reward,
-                        next_state=next_states[v].copy(),
+                        next_state=next_states[v],
                         terminal=done,
                     )
                 )

@@ -7,7 +7,7 @@ from pqossim.dqn import (
     QNetwork,
     ReplayBuffer,
     Transition,
-    double_q_target,
+    double_q_targets,
     forward,
     select_action,
 )
@@ -29,16 +29,25 @@ def random_state(rng, n=8):
 
 
 def random_batch(rng, size=10, n_in=8, n_act=3):
-    return [
-        Transition(
-            state=random_state(rng, n_in),
-            action=int(rng.integers(n_act)),
-            reward=float(rng.uniform(0, 1)),
-            next_state=random_state(rng, n_in),
-            terminal=bool(rng.integers(2) == 0),
-        )
-        for _ in range(size)
-    ]
+    """A batched Transition, every field with a leading axis of `size`."""
+    return Transition(
+        state=rng.uniform(0.0, 1.0, size=(size, n_in)),
+        action=rng.integers(n_act, size=size),
+        reward=rng.uniform(0, 1, size=size),
+        next_state=rng.uniform(0.0, 1.0, size=(size, n_in)),
+        terminal=rng.integers(2, size=size) == 0,
+    )
+
+
+def batch_of(*transitions):
+    """Stack single Transitions into one batched Transition."""
+    return Transition(
+        np.stack([t.state for t in transitions]),
+        np.array([t.action for t in transitions]),
+        np.array([t.reward for t in transitions], dtype=np.float64),
+        np.stack([t.next_state for t in transitions]),
+        np.array([t.terminal for t in transitions]),
+    )
 
 
 # -- forward ---------------------------------------------------------------
@@ -112,25 +121,34 @@ def test_select_action_epsilon_bounds():
 
 
 def test_double_q_target_terminal():
-    t = Transition(np.zeros(8), 0, 0.7, np.zeros(8), True)
-    assert double_q_target(zero_net(), zero_net(), t, 0.95) == 0.7
+    # a terminal row keeps its bare reward; its neighbour still bootstraps
+    batch = batch_of(
+        Transition(np.zeros(8), 0, 0.7, np.zeros(8), True),
+        Transition(np.zeros(8), 0, 0.7, np.zeros(8), False),
+    )
+    targets = double_q_targets(zero_net(), zero_net(out_bias=[1.0, 1.0, 1.0]), batch, 0.95)
+    assert targets[0] == 0.7
+    assert targets[1] == pytest.approx(0.7 + 0.95, abs=1e-15)
 
 
 def test_double_q_target_arithmetic():
     online = zero_net(out_bias=[0.0, 1.0, 0.0])  # argmax -> action 1
     target = zero_net(out_bias=[0.3, 1.0, 0.9])  # evaluates action 1 as 1.0
-    t = Transition(np.zeros(8), 0, 0.5, np.zeros(8), False)
-    assert double_q_target(online, target, t, 0.95) == pytest.approx(1.45, abs=1e-15)
+    batch = batch_of(Transition(np.zeros(8), 0, 0.5, np.zeros(8), False))
+    targets = double_q_targets(online, target, batch, 0.95)
+    assert targets.shape == (1,)
+    assert targets[0] == pytest.approx(1.45, abs=1e-15)
 
 
 def test_double_q_collapses_to_classic_when_nets_equal():
     rng = np.random.default_rng(4)
     net = QNetwork(rng=rng)
     twin = net.clone()
-    for _ in range(20):
-        t = Transition(random_state(rng), 0, float(rng.uniform()), random_state(rng), False)
-        classic = t.reward + 0.9 * float(np.max(forward(net, t.next_state)))
-        assert double_q_target(net, twin, t, 0.9) == pytest.approx(classic, abs=1e-12)
+    batch = batch_of(
+        *(Transition(random_state(rng), 0, float(rng.uniform()), random_state(rng), False) for _ in range(20))
+    )
+    classic = batch.reward + 0.9 * net.forward_batch(batch.next_state).max(axis=1)
+    assert np.allclose(double_q_targets(net, twin, batch, 0.9), classic, rtol=0.0, atol=1e-12)
 
 
 def test_double_q_decouples_selection_from_evaluation():
@@ -138,8 +156,8 @@ def test_double_q_decouples_selection_from_evaluation():
     # the double estimate must differ from the naive max-based target
     online = zero_net(out_bias=[1.0, 0.0, 0.0])
     target = zero_net(out_bias=[0.2, 0.9, 0.0])
-    t = Transition(np.zeros(8), 0, 0.0, np.zeros(8), False)
-    double = double_q_target(online, target, t, 0.95)
+    batch = batch_of(Transition(np.zeros(8), 0, 0.0, np.zeros(8), False))
+    double = double_q_targets(online, target, batch, 0.95)[0]
     naive = 0.95 * 0.9
     assert double == pytest.approx(0.95 * 0.2, abs=1e-15)
     assert double != naive
@@ -162,10 +180,9 @@ def test_zero_loss_updates_only_through_weight_decay():
     # terminal transitions whose rewards equal the current predictions,
     # computed through the same batched forward train_batch uses
     q = agent.online.forward_batch(states)
-    batch = [
-        Transition(states[i], actions[i], float(q[i, actions[i]]), states[i], True)
-        for i in range(10)
-    ]
+    batch = batch_of(
+        *(Transition(states[i], actions[i], float(q[i, actions[i]]), states[i], True) for i in range(10))
+    )
     before = [p.copy() for p in agent.online.parameters()]
     loss = agent.train_batch(batch)
     assert loss == 0.0
@@ -181,16 +198,13 @@ def test_gradients_match_finite_differences():
     worst = 0.0
     for _ in range(3):
         batch = random_batch(rng)
-        states = np.stack([t.state for t in batch])
-        actions = np.array([t.action for t in batch])
-        targets = np.array(
-            [double_q_target(agent.online, agent.target, t, agent.config.discount) for t in batch]
-        )
+        states, actions = batch.state, batch.action
+        targets = double_q_targets(agent.online, agent.target, batch, agent.config.discount)
         loss, grads = agent._loss_and_grads(states, actions, targets)
 
         def loss_at():
             q = agent.online.forward_batch(states)
-            err = q[np.arange(len(batch)), actions] - targets
+            err = q[np.arange(len(actions)), actions] - targets
             return float(np.mean(err * err))
 
         for p, g in zip(agent.online.parameters(), grads):
@@ -212,12 +226,8 @@ def test_first_adam_step_magnitude_is_learning_rate():
     agent = agent_with(weight_decay=0.0, learning_rate=1e-3)
     rng = np.random.default_rng(8)
     batch = random_batch(rng)
-    states = np.stack([t.state for t in batch])
-    actions = np.array([t.action for t in batch])
-    targets = np.array(
-        [double_q_target(agent.online, agent.target, t, agent.config.discount) for t in batch]
-    )
-    _, grads = agent._loss_and_grads(states, actions, targets)
+    targets = double_q_targets(agent.online, agent.target, batch, agent.config.discount)
+    _, grads = agent._loss_and_grads(batch.state, batch.action, targets)
     before = [p.copy() for p in agent.online.parameters()]
     agent.train_batch(batch)
     lr = agent.config.learning_rate
@@ -237,7 +247,10 @@ def test_batch_size_enforced():
     agent = agent_with()
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
-        agent.train_batch([])
+        agent.train_batch(random_batch(rng, size=0))
+    with pytest.raises(ValueError):
+        # a single, unbatched transition
+        agent.train_batch(Transition(np.zeros(8), 0, 0.0, np.zeros(8), False))
     with pytest.raises(ValueError):
         agent.train_batch(random_batch(rng, size=3))
 
@@ -280,8 +293,9 @@ def test_ring_eviction():
     for r in (1.0, 2.0, 3.0, 4.0):
         buf.push(t_with_reward(r))
     assert len(buf) == 3
-    rewards = sorted(t.reward for t in buf._store)
-    assert rewards == [2.0, 3.0, 4.0]
+    # a full-ring sample sees exactly what the ring holds
+    batch = buf.sample(3, np.random.default_rng(0))
+    assert sorted(batch.reward) == [2.0, 3.0, 4.0]
 
 
 def test_not_ready_signal():
@@ -299,7 +313,9 @@ def test_sample_without_replacement():
         buf.push(t_with_reward(float(r)))
     rng = np.random.default_rng(12)
     batch = buf.sample(5, rng)
-    assert sorted(t.reward for t in batch) == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert batch.state.shape == batch.next_state.shape == (5, 8)
+    assert batch.action.shape == batch.reward.shape == batch.terminal.shape == (5,)
+    assert sorted(batch.reward) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_sampling_is_uniform_over_indices():
@@ -310,8 +326,7 @@ def test_sampling_is_uniform_over_indices():
     counts = np.zeros(10)
     draws = 10_000
     for _ in range(draws):
-        for t in buf.sample(3, rng):
-            counts[int(t.reward)] += 1
+        counts[buf.sample(3, rng).reward.astype(int)] += 1
     expected = draws * 3 / 10
     sigma = np.sqrt(draws * 0.3 * 0.7)
     assert np.all(np.abs(counts - expected) <= 3.2 * sigma), counts
@@ -333,10 +348,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(p1, p2)
     for p1, p2 in zip(agent.target.parameters(), loaded.target.parameters()):
         assert np.array_equal(p1, p2)
-    for m1, m2 in zip(agent._adam_m, loaded._adam_m):
-        assert np.array_equal(m1, m2)
-    for v1, v2 in zip(agent._adam_v, loaded._adam_v):
-        assert np.array_equal(v1, v2)
+    assert np.array_equal(agent._adam_m, loaded._adam_m)
+    assert np.array_equal(agent._adam_v, loaded._adam_v)
     # training continues identically from the restored state
     batch = random_batch(np.random.default_rng(15))
     agent.train_batch(batch)
@@ -350,6 +363,43 @@ def test_checkpoint_records_action_mapping(tmp_path):
     path = tmp_path / "ckpt.npz"
     agent.save(path)
     assert DqnAgent.checkpoint_action_ids(path) == (1450, 1451, 1452)
+
+
+def _shares_flat(net: QNetwork) -> bool:
+    return all(np.shares_memory(p, net.flat) for p in net.parameters())
+
+
+def test_parameters_stay_views_of_the_flat_vector(tmp_path):
+    agent = agent_with(learning_rate=1e-3, target_sync_period=2)
+    rng = np.random.default_rng(16)
+    for _ in range(3):
+        agent.train_batch(random_batch(rng))
+    assert _shares_flat(agent.online) and _shares_flat(agent.target)
+    path = tmp_path / "ckpt.npz"
+    agent.save(path)
+    loaded = DqnAgent.load(path, agent.config)
+    assert _shares_flat(loaded.online) and _shares_flat(loaded.target)
+    assert np.array_equal(loaded.online.flat, agent.online.flat)
+    twin = agent.online.clone()
+    assert _shares_flat(twin) and not np.shares_memory(twin.flat, agent.online.flat)
+    twin.copy_from(loaded.target)
+    assert _shares_flat(twin) and np.array_equal(twin.flat, loaded.target.flat)
+    # a write through the flat vector shows in every view
+    twin.flat[:] = 1.0
+    assert all(np.all(p == 1.0) for p in twin.parameters())
+
+
+def test_wrong_shape_checkpoint_array_rejected(tmp_path):
+    agent = agent_with()
+    path = tmp_path / "ckpt.npz"
+    agent.save(path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["w1"] = np.zeros((6, 12))  # transposed
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    with pytest.raises(CheckpointError, match="shape"):
+        DqnAgent.load(bad, agent.config)
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):

@@ -2,17 +2,20 @@
 
 The determinism tests elsewhere compare a build against itself; these
 digests were recorded once and pin the simulator's and the learner's
-outputs across refactors. A change that is meant to move results must
-say why and re-record them (run this file with GOLDEN_PRINT=1 to print the
-current digests).
+outputs across refactors. The CSVs see the learner only through its online
+actions, so the trained agent's weights and Adam moments are pinned too.
+A change that is meant to move results must say why and re-record them
+(run this file with GOLDEN_PRINT=1 -s to print the current digests).
 """
 
 import hashlib
 import os
 
+import pytest
+
 from pqossim.config import default_config
 from pqossim.env import NetworkEnv
-from pqossim.harness import run_offline_training, run_online_training, run_test
+from pqossim.harness import run_offline_training, run_online_training, run_test, weights_digest
 from pqossim.modes import MODE_1450, MODE_1451, MODE_RAW
 from pqossim.policies import ConstantPolicy
 
@@ -25,6 +28,14 @@ GOLDEN = {
     "raw/episodes.csv": "afe235352f7d7a4c1152320416c8cf4df169a89c3d5b726bc379fa81291d6be4",
     "mixed/records.csv": "c39eaea31edc836d6a216f05dcbe0705add152b352848a1a7b67066a3af2740f",
     "mixed/episodes.csv": "cc8a531b8d1f77ac4540abc72e8e85d8f7fbfdc4b7f0551461e09347bc0bd403",
+}
+
+# after the golden offline + online training: `weights_digest` (online then
+# target parameters) and SHA-256 over the Adam m then v moments, both in
+# parameter order w0, b0, w1, b1, ...
+GOLDEN_LEARNER = {
+    "weights": "91412eff1b882e8a1d7f5dff0db4c3ed9280a4af02e4459fb68d26f266a6e1b9",
+    "adam_moments": "60fc4acd5604fc8994c1a0641d3b7635bdcb5c788058bfd24d58607ca6f1fd4d",
 }
 
 
@@ -55,25 +66,36 @@ def _golden_config():
     return cfg
 
 
-def _digests(root):
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """Run the golden workload once; returns (CSV digests, learner digests)."""
+    root = tmp_path_factory.mktemp("golden")
     cfg = _golden_config()
     agent, _ = run_offline_training(cfg, root / "offline")
     run_online_training(cfg, root / "online", agent=agent)
+    learner = {
+        "weights": weights_digest(agent),
+        "adam_moments": hashlib.sha256(agent._adam_m.tobytes() + agent._adam_v.tobytes()).hexdigest(),
+    }
     run_test(cfg, root / "raw", ConstantPolicy(MODE_RAW))
     run_test(cfg, root / "mixed", _PerVehiclePolicy([MODE_RAW, MODE_1450, MODE_1451]))
-    out = {}
-    for key in GOLDEN:
-        out[key] = hashlib.sha256((root / key).read_bytes()).hexdigest()
-    return out
-
-
-def test_golden_csv_digests(tmp_path):
-    got = _digests(tmp_path)
+    csvs = {key: hashlib.sha256((root / key).read_bytes()).hexdigest() for key in GOLDEN}
     if os.environ.get("GOLDEN_PRINT"):
-        for key, digest in got.items():
+        for key, digest in {**csvs, **learner}.items():
             print(f'    "{key}": "{digest}",')
+    return csvs, learner
+
+
+def test_golden_csv_digests(golden_run):
+    got, _ = golden_run
     mismatched = [key for key in GOLDEN if got[key] != GOLDEN[key]]
     assert not mismatched, f"CSV bytes changed: {mismatched}"
+
+
+def test_golden_learner_digests(golden_run):
+    _, got = golden_run
+    mismatched = [key for key in GOLDEN_LEARNER if got[key] != GOLDEN_LEARNER[key]]
+    assert not mismatched, f"learner state changed: {mismatched}"
 
 
 def test_golden_workload_covers_the_drop_path():
