@@ -29,7 +29,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,8 +171,7 @@ class SimConfig:
         return 4.0 * (self.route_half_length_m + self.route_half_width_m)
 
 
-@dataclass(frozen=True, slots=True)
-class StepKpis:
+class StepKpis(NamedTuple):
     """Per-vehicle KPIs aggregated over one control period.
 
     Delay statistics cover packets delivered during the period, whichever
@@ -535,8 +534,8 @@ class NetworkEnv:
         self.total_dropped += dropped
 
         # -- aggregation ------------------------------------------------
-        mean_sinr = sinr_db.mean(axis=0)
-        mean_mcs = mcs_idx.mean(axis=0)
+        mean_sinr = sinr_db.sum(axis=0) / ticks
+        mean_mcs = mcs_idx.sum(axis=0, dtype=np.float64) / ticks
         mcs_index_max = self.mcs_table.index_max
         states = np.empty((n, _STATE_SIZE), dtype=np.float64)
         kpis_out: list[StepKpis] = []

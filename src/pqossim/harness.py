@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -29,31 +31,29 @@ from .config import ExperimentConfig
 from .dqn import DqnAgent, ReplayBuffer, Transition
 from .env import NetworkEnv, StepKpis
 from .modes import AGENT_ACTION_MODES, CANONICAL_MODES, ApplicationMode
-from .policies import ConstantPolicy, DqlGreedyPolicy, DqlTrainingPolicy
+from .policies import ConstantPolicy, DqlTrainingPolicy
 from .reward import compute_reward, normalize_reward, qos_met
 
 _PHASE_CODES = {"offline": 1, "online": 2, "test": 3}
 
-RECORDS_HEADER = [
-    "episode",
-    "step",
-    "vehicle",
-    "action",
-    "mcs_index",
-    "ofdm_symbols_used",
-    "sinr_db",
-    "delay_mean",
-    "delay_max",
-    "delay_min",
-    "delay_std",
-    "prr",
-    "packets_generated",
-    "packets_delivered",
-    "cd",
-    "reward",
-    "qos_met",
-    "policy",
-]
+# One vehicle-period record, the unit of every CSV export: its fields are
+# the records.csv columns in order, less the run-level `policy` label.
+StepRow = NamedTuple(
+    "StepRow",
+    [
+        ("episode", int),
+        ("step", int),
+        ("vehicle", int),
+        ("action", int),
+        *get_type_hints(StepKpis).items(),
+        ("cd", float),
+        ("reward", float),
+        ("qos_met", int),
+    ],
+)
+
+RECORDS_HEADER = [*StepRow._fields, "policy"]
+_COLUMN_TYPES = tuple(get_type_hints(StepRow).values())
 
 FIGURE_FILES = (
     "action_probability.csv",
@@ -64,23 +64,9 @@ FIGURE_FILES = (
 )
 
 
-@dataclass(slots=True)
-class StepRow:
-    """One vehicle-period record, the unit of every CSV export."""
-
-    episode: int
-    step: int
-    vehicle: int
-    action: int
-    kpis: StepKpis
-    cd: float
-    reward: float
-    qos_met: bool
-
-
 @dataclass
 class EpisodeRecord:
-    """Per-episode aggregate built from its step rows.
+    """The step rows of one episode.
 
     `policy` is the run-level label carried into every CSV row: the phase
     name for training records, the policy name for test records.
@@ -92,19 +78,8 @@ class EpisodeRecord:
     rows: list[StepRow] = field(default_factory=list)
 
     @property
-    def action_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            counts[row.action] = counts.get(row.action, 0) + 1
-        return counts
-
-    @property
-    def mean_reward(self) -> float:
-        return float(np.mean([r.reward for r in self.rows])) if self.rows else 0.0
-
-    @property
-    def qos_fraction(self) -> float:
-        return float(np.mean([r.qos_met for r in self.rows])) if self.rows else 0.0
+    def action_counts(self) -> Counter:
+        return Counter(row.action for row in self.rows)
 
 
 @dataclass
@@ -145,16 +120,15 @@ def weights_digest(agent: DqnAgent) -> str:
     return h.hexdigest()
 
 
-def _run_episode(
-    env, policy, agent, buffer, rng, episode, episode_seed, epsilon, reward_params, learn, label="run"
-):
+def _run_episode(env, policy, agent, buffer, rng, episode, episode_seed, epsilon, reward_params, label="run"):
     """One episode; returns its EpisodeRecord.
 
-    When `learn` is set, transitions flow into the replay buffer and one
-    training step runs per period once a batch is available. Periods that
-    generated no traffic produce no transition.
+    Given a replay buffer, the episode learns: transitions flow into the
+    buffer and one training step of `agent` runs per period once a batch
+    is available. Periods that generated no traffic produce no transition.
     """
     record = EpisodeRecord(episode=episode, epsilon=epsilon, policy=label)
+    rows = record.rows
     states = env.reset(episode_seed)
     n = env.config.n_vehicles
     step = 0
@@ -165,30 +139,18 @@ def _run_episode(
         for v in range(n):
             reward = compute_reward(samples[v], reward_params)
             met = qos_met(samples[v], reward_params)
-            record.rows.append(
-                StepRow(
-                    episode=episode,
-                    step=step,
-                    vehicle=v,
-                    action=modes[v].mode_id,
-                    kpis=kpis[v],
-                    cd=samples[v].cd,
-                    reward=reward,
-                    qos_met=met,
-                )
-            )
-            if learn and kpis[v].packets_generated > 0:
-                action_index = _action_index(modes[v])
+            rows.append(StepRow(episode, step, v, modes[v].mode_id, *kpis[v], samples[v].cd, reward, int(met)))
+            if buffer is not None and kpis[v].packets_generated > 0:
                 buffer.push(
                     Transition(
                         state=states[v],
-                        action=action_index,
+                        action=_action_index(modes[v]),
                         reward=reward,
                         next_state=next_states[v],
                         terminal=done,
                     )
                 )
-        if learn:
+        if buffer is not None:
             batch = buffer.sample(agent.config.batch_size, rng)
             if batch is not None:
                 agent.train_batch(batch)
@@ -202,6 +164,36 @@ def _action_index(mode: ApplicationMode) -> int:
         return AGENT_ACTION_MODES.index(mode)
     except ValueError:
         raise ValueError(f"mode {mode.mode_id} is not in the agent action set") from None
+
+
+def _run_episodes(config, phase, episodes, policy_for, label, agent=None, buffer=None):
+    """Run one phase's episodes; `policy_for(episode)` gives (policy, epsilon).
+
+    Channel realizations are seeded per (base seed, phase, episode) and the
+    decision stream per (base seed, phase).
+    """
+    if episodes < 1:
+        raise ValueError(f"{phase} phase needs at least one episode, got {episodes}")
+    base_seed = config.sim.rng_seed
+    env = NetworkEnv(config.sim)
+    rng = np.random.default_rng(np.random.SeedSequence([base_seed, 100 + _PHASE_CODES[phase]]))
+    records: list[EpisodeRecord] = []
+    for episode in range(episodes):
+        policy, epsilon = policy_for(episode)
+        seed = _episode_seed(base_seed, phase, episode)
+        records.append(
+            _run_episode(env, policy, agent, buffer, rng, episode, seed, epsilon, config.reward, label)
+        )
+    return records
+
+
+def _write_outputs(records: list[EpisodeRecord], output_dir) -> TestSummary:
+    """Write records.csv, episodes.csv and the figure CSVs; returns the summary."""
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_records_csv(records, out / "records.csv")
+    write_episodes_csv(records, out / "episodes.csv")
+    return emit_figures_csv(records, out)
 
 
 def run_offline_training(config: ExperimentConfig, output_dir, agent: DqnAgent | None = None):
@@ -221,46 +213,19 @@ def run_online_training(config: ExperimentConfig, output_dir, agent: DqnAgent | 
 
 
 def _train(config, output_dir, phase, episodes, agent):
-    if episodes < 1:
-        raise ValueError(f"{phase} phase needs at least one episode, got {episodes}")
-    base_seed = config.sim.rng_seed
-    env = NetworkEnv(config.sim)
     if agent is None:
         agent = DqnAgent(config.agent)
-    buffer = ReplayBuffer(config.agent.replay_capacity)
-    rng = np.random.default_rng(np.random.SeedSequence([base_seed, 100 + _PHASE_CODES[phase]]))
 
-    records: list[EpisodeRecord] = []
-    for episode in range(episodes):
+    def policy_for(episode):
         if phase == "offline":
-            fixed = AGENT_ACTION_MODES[episode % len(AGENT_ACTION_MODES)]
-            policy = ConstantPolicy(fixed)
-            epsilon = 1.0
-        else:
-            epsilon = _epsilon_for_episode(config.agent, episode)
-            policy = DqlTrainingPolicy(agent, epsilon)
-        records.append(
-            _run_episode(
-                env,
-                policy,
-                agent,
-                buffer,
-                rng,
-                episode,
-                _episode_seed(base_seed, phase, episode),
-                epsilon,
-                config.reward,
-                learn=True,
-                label=phase,
-            )
-        )
+            return ConstantPolicy(AGENT_ACTION_MODES[episode % len(AGENT_ACTION_MODES)]), 1.0
+        epsilon = _epsilon_for_episode(config.agent, episode)
+        return DqlTrainingPolicy(agent, epsilon), epsilon
 
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    agent.save(out / "checkpoint.npz")
-    write_records_csv(records, out / "records.csv")
-    write_episodes_csv(records, out / "episodes.csv")
-    emit_figures_csv(records, out)
+    buffer = ReplayBuffer(config.agent.replay_capacity)
+    records = _run_episodes(config, phase, episodes, policy_for, phase, agent, buffer)
+    _write_outputs(records, output_dir)
+    agent.save(Path(output_dir) / "checkpoint.npz")
     return agent, records
 
 
@@ -271,65 +236,41 @@ def run_test(config: ExperimentConfig, output_dir, policy, agent: DqnAgent | Non
     its weights are checksummed before and after to prove they never moved.
     Returns (records, summary).
     """
-    run = config.resolved_run()
-    episodes = run.test_episodes
-    if episodes < 1:
-        raise ValueError(f"test phase needs at least one episode, got {episodes}")
     if isinstance(policy, DqlTrainingPolicy):
         raise ValueError("test phase requires a frozen policy")
-    base_seed = config.sim.rng_seed
-    env = NetworkEnv(config.sim)
-    rng = np.random.default_rng(np.random.SeedSequence([base_seed, 100 + _PHASE_CODES["test"]]))
-
     digest_before = weights_digest(agent) if agent is not None else None
     label = getattr(policy, "name", "policy")
-    records: list[EpisodeRecord] = []
-    for episode in range(episodes):
-        records.append(
-            _run_episode(
-                env,
-                policy,
-                None,
-                None,
-                rng,
-                episode,
-                _episode_seed(base_seed, "test", episode),
-                0.0,
-                config.reward,
-                learn=False,
-                label=label,
-            )
-        )
+    episodes = config.resolved_run().test_episodes
+    records = _run_episodes(config, "test", episodes, lambda episode: (policy, 0.0), label)
     if agent is not None and weights_digest(agent) != digest_before:
         raise RuntimeError("agent weights changed during the test phase")
-
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_records_csv(records, out / "records.csv")
-    write_episodes_csv(records, out / "episodes.csv")
-    summary = emit_figures_csv(records, out)
-    return records, summary
+    return records, _write_outputs(records, output_dir)
 
 
 def summarize_test(records: list[EpisodeRecord], policy_name: str) -> TestSummary:
     rows = [r for rec in records for r in rec.rows]
+    return _summarize(rows, _normalized_rewards(rows), len(records), policy_name)
+
+
+def _normalized_rewards(rows: list[StepRow]) -> np.ndarray:
+    return np.array([normalize_reward(r.reward) for r in rows])
+
+
+def _summarize(rows: list[StepRow], rewards: np.ndarray, episodes: int, policy_name: str) -> TestSummary:
     if not rows:
         raise ValueError("no step rows to summarize")
-    rewards = np.array([normalize_reward(r.reward) for r in rows])
-    delays = np.array([r.kpis.delay_mean for r in rows])
+    delays = np.array([r.delay_mean for r in rows])
     p25, med, p75 = np.percentile(delays, [25.0, 50.0, 75.0])
     iqr = p75 - p25
     in_low = delays[delays >= p25 - 1.5 * iqr]
     in_high = delays[delays <= p75 + 1.5 * iqr]
-    counts: dict[int, int] = {}
-    for r in rows:
-        counts[r.action] = counts.get(r.action, 0) + 1
+    counts = Counter(r.action for r in rows)
     total = len(rows)
     return TestSummary(
         policy=policy_name,
-        episodes=len(records),
+        episodes=episodes,
         steps=total,
-        qos_fraction=float(np.mean([r.qos_met for r in rows])),
+        qos_fraction=sum(r.qos_met for r in rows) / total,
         median_reward=float(np.median(rewards)),
         max_reward=float(rewards.max()),
         delay_median=float(med),
@@ -337,7 +278,7 @@ def summarize_test(records: list[EpisodeRecord], policy_name: str) -> TestSummar
         delay_p75=float(p75),
         delay_whisker_low=float(in_low.min()),
         delay_whisker_high=float(in_high.max()),
-        action_fractions={m: counts.get(m, 0) / total for m in sorted(counts)},
+        action_fractions={m: counts[m] / total for m in sorted(counts)},
     )
 
 
@@ -353,30 +294,7 @@ def write_records_csv(records: list[EpisodeRecord], path) -> None:
         w = _writer(fh)
         w.writerow(RECORDS_HEADER)
         for rec in records:
-            for r in rec.rows:
-                k = r.kpis
-                w.writerow(
-                    [
-                        r.episode,
-                        r.step,
-                        r.vehicle,
-                        r.action,
-                        k.mcs_index,
-                        k.ofdm_symbols_used,
-                        repr(k.sinr_db),
-                        repr(k.delay_mean),
-                        repr(k.delay_max),
-                        repr(k.delay_min),
-                        repr(k.delay_std),
-                        repr(k.prr),
-                        k.packets_generated,
-                        k.packets_delivered,
-                        repr(r.cd),
-                        repr(r.reward),
-                        int(r.qos_met),
-                        rec.policy,
-                    ]
-                )
+            w.writerows((*row, rec.policy) for row in rec.rows)
 
 
 def write_episodes_csv(records: list[EpisodeRecord], path) -> None:
@@ -389,10 +307,9 @@ def write_episodes_csv(records: list[EpisodeRecord], path) -> None:
         )
         for rec in records:
             counts = rec.action_counts
-            w.writerow(
-                [rec.episode, repr(rec.epsilon), repr(rec.mean_reward), repr(rec.qos_fraction)]
-                + [counts.get(m, 0) for m in mode_ids]
-            )
+            mean_reward = float(np.mean([r.reward for r in rec.rows]))
+            qos_fraction = float(np.mean([r.qos_met for r in rec.rows]))
+            w.writerow([rec.episode, rec.epsilon, mean_reward, qos_fraction] + [counts[m] for m in mode_ids])
 
 
 def emit_figures_csv(records: list[EpisodeRecord], output_dir) -> TestSummary:
@@ -410,95 +327,76 @@ def emit_figures_csv(records: list[EpisodeRecord], output_dir) -> TestSummary:
     """
     if not records:
         raise ValueError("no records to export")
+    rows = [r for rec in records for r in rec.rows]
+    rewards = _normalized_rewards(rows)
+    summary = _summarize(rows, rewards, len(records), records[0].policy)
+    total = len(rows)
+    mode_ids = [m.mode_id for m in CANONICAL_MODES]
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [r for rec in records for r in rec.rows]
-    mode_ids = [m.mode_id for m in CANONICAL_MODES]
 
     with open(out / "action_probability.csv", "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(["episode"] + [f"p_{m}" for m in mode_ids])
         for rec in records:
             counts = rec.action_counts
-            total = len(rec.rows)
-            w.writerow([rec.episode] + [repr(counts.get(m, 0) / total) for m in mode_ids])
+            w.writerow([rec.episode] + [counts[m] / len(rec.rows) for m in mode_ids])
 
     with open(out / "cd_distribution.csv", "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(["cd", "count", "fraction"])
-        values: dict[float, int] = {}
-        for r in rows:
-            values[r.cd] = values.get(r.cd, 0) + 1
-        for cd in sorted(values):
-            w.writerow([repr(cd), values[cd], repr(values[cd] / len(rows))])
+        values = Counter(r.cd for r in rows)
+        w.writerows([cd, values[cd], values[cd] / total] for cd in sorted(values))
 
     with open(out / "qos_distribution.csv", "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(["qos_met", "count", "fraction"])
-        met = sum(1 for r in rows if r.qos_met)
-        w.writerow([0, len(rows) - met, repr((len(rows) - met) / len(rows))])
-        w.writerow([1, met, repr(met / len(rows))])
+        met = sum(r.qos_met for r in rows)
+        w.writerow([0, total - met, (total - met) / total])
+        w.writerow([1, met, met / total])
 
-    summary = summarize_test(records, records[0].policy)
     with open(out / "delay_boxplot.csv", "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(["policy", "median", "p25", "p75", "whisker_low", "whisker_high"])
         w.writerow(
             [
                 summary.policy,
-                repr(summary.delay_median),
-                repr(summary.delay_p25),
-                repr(summary.delay_p75),
-                repr(summary.delay_whisker_low),
-                repr(summary.delay_whisker_high),
+                summary.delay_median,
+                summary.delay_p25,
+                summary.delay_p75,
+                summary.delay_whisker_low,
+                summary.delay_whisker_high,
             ]
         )
 
-    rewards = np.array([normalize_reward(r.reward) for r in rows])
     with open(out / "reward_distribution.csv", "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(["percentile", "normalized_reward"])
-        for q in range(101):
-            w.writerow([q, repr(float(np.percentile(rewards, q)))])
+        w.writerows(zip(range(101), np.percentile(rewards, range(101)).tolist()))
     return summary
 
 
 def read_records_csv(path) -> list[EpisodeRecord]:
-    """Rebuild episode records from a records.csv (for re-export)."""
+    """Read a records.csv back into episode records of `StepRow`s (for re-export)."""
     by_episode: dict[int, EpisodeRecord] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RECORDS_HEADER:
-            raise ValueError(f"{path}: unexpected records header {reader.fieldnames}")
-        for row in reader:
-            episode = int(row["episode"])
-            rec = by_episode.setdefault(
-                episode, EpisodeRecord(episode=episode, epsilon=0.0, policy=row["policy"])
-            )
-            kpis = StepKpis(
-                mcs_index=int(row["mcs_index"]),
-                ofdm_symbols_used=int(row["ofdm_symbols_used"]),
-                sinr_db=float(row["sinr_db"]),
-                delay_mean=float(row["delay_mean"]),
-                delay_max=float(row["delay_max"]),
-                delay_min=float(row["delay_min"]),
-                delay_std=float(row["delay_std"]),
-                prr=float(row["prr"]),
-                packets_generated=int(row["packets_generated"]),
-                packets_delivered=int(row["packets_delivered"]),
-            )
-            rec.rows.append(
-                StepRow(
-                    episode=episode,
-                    step=int(row["step"]),
-                    vehicle=int(row["vehicle"]),
-                    action=int(row["action"]),
-                    kpis=kpis,
-                    cd=float(row["cd"]),
-                    reward=float(row["reward"]),
-                    qos_met=bool(int(row["qos_met"])),
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != RECORDS_HEADER:
+            raise ValueError(f"{path}: unexpected records header {header}")
+        for fields in reader:
+            if len(fields) != len(RECORDS_HEADER):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(RECORDS_HEADER)} fields, got {len(fields)}"
                 )
+            try:
+                row = StepRow._make(parse(text) for parse, text in zip(_COLUMN_TYPES, fields))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            rec = by_episode.setdefault(
+                row.episode, EpisodeRecord(episode=row.episode, epsilon=0.0, policy=fields[-1])
             )
+            rec.rows.append(row)
     if not by_episode:
         raise ValueError(f"{path}: no rows")
     return [by_episode[e] for e in sorted(by_episode)]

@@ -121,6 +121,26 @@ def test_cli_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_export_rejects_short_and_long_rows(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    out = tmp_path / "t"
+    assert main(
+        ["test", "--config", str(cfg), "--profile", "quick", "--seed", "1",
+         "--policy", "constant:1450", "--out", str(out)]
+    ) == 0
+    lines = (out / "records.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    # a run killed mid-write leaves a short last row; here the third data row is cut
+    for name, bad_fields in (("short", fields[:10]), ("long", fields + ["1"])):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join([*lines[:3], ",".join(bad_fields), *lines[4:]]) + "\n")
+        capsys.readouterr()
+        assert main(["export", "--records", str(bad), "--out", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:4: expected 18 fields, got {len(bad_fields)}\n"
+        assert not (tmp_path / name).exists()
+
+
 def test_cli_alpha_flag(tmp_path):
     cfg = write_tiny_config(tmp_path)
     out = tmp_path / "t"

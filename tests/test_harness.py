@@ -62,7 +62,6 @@ def test_training_pushes_one_transition_per_vehicle_step():
         episode_seed=1,
         epsilon=1.0,
         reward_params=cfg.reward,
-        learn=True,
     )
     assert len(buffer) == cfg.sim.steps_per_episode * 2
 
@@ -85,7 +84,6 @@ def test_no_traffic_periods_are_skipped():
         episode_seed=1,
         epsilon=1.0,
         reward_params=cfg.reward,
-        learn=True,
     )
     steps = cfg.sim.steps_per_episode
     assert len(record.rows) == steps  # KPIs still reported every period
@@ -196,6 +194,9 @@ def test_records_csv_roundtrip_through_export(tmp_path):
     cfg = tiny_config()
     records, _ = run_test(cfg, tmp_path / "t", ConstantPolicy(1451))
     loaded = read_records_csv(tmp_path / "t" / "records.csv")
+    assert [(rec.episode, rec.policy, rec.rows) for rec in loaded] == [
+        (rec.episode, rec.policy, rec.rows) for rec in records
+    ]
     emit_figures_csv(loaded, tmp_path / "re")
     for name in FIGURE_FILES:
         assert (tmp_path / "re" / name).read_bytes() == (tmp_path / "t" / name).read_bytes()
