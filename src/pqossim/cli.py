@@ -23,7 +23,7 @@ from . import config as cfgmod
 from .dqn import DqnAgent
 from .errors import CheckpointError, ConfigError
 from .harness import emit_figures_csv, read_records_csv, run_offline_training, run_online_training, run_test
-from .policies import ConstantPolicy, DqlGreedyPolicy
+from .policies import ConstantPolicy, DqlGreedyPolicy, load_checked_agent
 from .qoe import chamfer_sym, chamfer_sym_accelerated, load_point_cloud
 
 
@@ -80,16 +80,19 @@ def _cmd_train_online(args) -> int:
 
 def _cmd_test(args) -> int:
     config = _build_config(args, "test")
+    agent = None
     if args.policy == "dql":
         if not args.checkpoint:
             raise ConfigError("--policy dql requires --checkpoint")
-        policy = DqlGreedyPolicy.from_checkpoint(args.checkpoint, config.agent)
+        # run_test checksums the agent's weights to prove the test never moved them
+        agent = load_checked_agent(args.checkpoint, config.agent)
+        policy = DqlGreedyPolicy(agent.online)
     elif args.policy.startswith("constant:"):
         policy = ConstantPolicy(int(args.policy.split(":", 1)[1]))
     else:
         raise ConfigError(f"--policy must be 'dql' or 'constant:<id>', got {args.policy!r}")
     _write_resolved(config, args.out)
-    _, summary = run_test(config, args.out, policy)
+    _, summary = run_test(config, args.out, policy, agent)
     print(
         f"test done ({summary.policy}): {summary.episodes} episodes, "
         f"qos_fraction={summary.qos_fraction:.4f}, "

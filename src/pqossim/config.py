@@ -11,6 +11,7 @@ is a desk-scale preset for fast end-to-end runs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,7 +122,7 @@ def default_config(profile: str = "paper") -> ExperimentConfig:
     return ExperimentConfig(sim=sim, agent=agent, reward=RewardParams(), run=RunLengths(), profile=profile)
 
 
-def _parse_scalar(text: str, current):
+def _parse_scalar(text: str, current, key: str):
     if isinstance(current, bool):
         raise ConfigError("boolean config fields are not supported")
     if isinstance(current, int) and not isinstance(current, bool):
@@ -131,9 +132,12 @@ def _parse_scalar(text: str, current):
             raise ConfigError(f"expected integer, got {text!r}") from None
     if isinstance(current, float):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"expected number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {text!r}")
+        return value
     return text
 
 
@@ -154,7 +158,7 @@ def apply_kv(config: ExperimentConfig, dotted_key: str, value: str) -> None:
         if key not in _REWARD_FIELDS:
             raise ConfigError(f"unknown config key {dotted_key!r}")
         # RewardParams is frozen; rebuild with the new field
-        parsed = _parse_scalar(value, getattr(config.reward, key))
+        parsed = _parse_scalar(value, getattr(config.reward, key), dotted_key)
         config.reward = dataclasses.replace(config.reward, **{key: parsed})
         return
     elif section == "run":
@@ -168,7 +172,7 @@ def apply_kv(config: ExperimentConfig, dotted_key: str, value: str) -> None:
     else:
         raise ConfigError(f"unknown config section {section!r}")
     current = getattr(target, key)
-    setattr(target, key, _parse_scalar(value, current))
+    setattr(target, key, _parse_scalar(value, current, dotted_key))
 
 
 def load_config(path, profile: str = "paper") -> ExperimentConfig:
@@ -197,7 +201,11 @@ def load_config(path, profile: str = "paper") -> ExperimentConfig:
 def validate(config: ExperimentConfig) -> None:
     config.sim.validate()
     # dataclass __post_init__ validations re-run on replace; re-trigger here
-    AgentConfig(**dataclasses.asdict(config.agent))
+    try:
+        AgentConfig(**dataclasses.asdict(config.agent))
+    except ValueError as exc:
+        # AgentConfig's messages start with the field name
+        raise ConfigError(f"agent.{exc}") from None
     RewardParams(**dataclasses.asdict(config.reward))
 
 

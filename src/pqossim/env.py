@@ -25,10 +25,11 @@ seed, action sequence) reproduces identical KPI streams bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +44,18 @@ from .reward import QosSample
 _RE_PER_SYMBOL_PER_MHZ = 1596.0 / 50.0
 
 _STATE_SIZE = 8
+
+# The scalar tick loop hands a tick to `NetworkEnv._drain_stretch` only
+# when the stretch starting there is expected to cover at least this many
+# vehicle-ticks (ticks x schedulable vehicles). On a 2-CPU x86 VM a scalar
+# tick with m vehicles scheduled costs about 1 + 2m us and the numpy pass
+# about 90 us whatever m, so they break even near 40 vehicle-ticks for
+# every fleet size.
+_STRETCH_MIN_VEHICLE_TICKS = 40
+
+# Padding for the burst table of `_drain_stretch`: a bit offset no served
+# amount reaches.
+_NEVER = 1 << 62
 
 
 @dataclass
@@ -92,12 +105,14 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.carrier_frequency_ghz <= 0:
             raise ConfigError("carrier_frequency_ghz must be > 0")
         if self.bandwidth_mhz <= 0:
             raise ConfigError("bandwidth_mhz must be > 0")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ConfigError("tx_power_dbm must be finite")
         if self.noise_figure_db < 0:
             raise ConfigError("noise_figure_db must be >= 0")
         if int(self.control_period_ms) != self.control_period_ms or self.control_period_ms <= 0:
@@ -109,7 +124,7 @@ class SimConfig:
         if self.episode_duration_s <= 0:
             raise ConfigError("episode_duration_s must be > 0")
         steps = self.episode_duration_s * 1000.0 / self.control_period_ms
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ConfigError("control_period_ms must divide episode_duration_s * 1000")
         if self.frame_rate_hz <= 0:
             raise ConfigError("frame_rate_hz must be > 0")
@@ -258,6 +273,7 @@ class NetworkEnv:
         self._seg_sx = np.array([0.0, -1.0, 0.0, 1.0])
         self._seg_y0 = np.array([-b, b, b, -b])
         self._seg_sy = np.array([1.0, 0.0, -1.0, 0.0])
+        self._grant_tables: dict = {}
         self._ready = False
 
     # -- lifecycle -----------------------------------------------------
@@ -398,6 +414,152 @@ class NetworkEnv:
             self.scheduler_idle_violations += 1
         return used
 
+    def _grant_table(self, m: int):
+        """Round-robin grants of a stretch with m schedulable vehicles.
+
+        Row r holds what `_water_fill`'s first round grants on a tick whose
+        round-robin offset is r modulo m; rows run to ticks_per_period + m,
+        so any stretch is one slice starting at row (offset % m). Returns
+        (grants, grants * re_per_symbol, running grant sums with a leading
+        zero row), cached per m.
+        """
+        table = self._grant_tables.get(m)
+        if table is None:
+            cfg = self.config
+            base, extra = divmod(cfg.symbols_per_tick, m)
+            rows = np.arange(cfg.ticks_per_period + m)[:, None]
+            grants = base + ((np.arange(m) - rows) % m < extra)
+            sums = np.zeros((len(grants) + 1, m), dtype=np.int64)
+            np.cumsum(grants, axis=0, out=sums[1:])
+            table = self._grant_tables[m] = (grants, grants * cfg.re_per_symbol, sums)
+        return table
+
+    def _drain_stretch(
+        self, t0, t1, sched, eff, rr, start_ms, period, symbols_used, cohort_delivered, delay_runs
+    ):
+        """Schedule and drain ticks t0, t0 + 1, ... before t1 in one numpy pass.
+
+        Tick t0's frames and drops are already applied and `sched` lists
+        its schedulable vehicles in order. The caller guarantees that in
+        (t0, t1) no frame arrives, no queued burst crosses the drop cutoff
+        and no backlogged vehicle enters or leaves outage, so the
+        schedulable set stays `sched`. The pass covers the longest prefix
+        on which every schedulable vehicle's need is above its round-robin
+        grant, so each tick spends the whole budget exactly as
+        `_water_fill`'s first round does; one more tick where some need
+        equals its grant may end it, draining that queue. Served bits carry
+        across packets, bursts and ticks exactly as the scalar drain carries
+        its leftovers, so a cumulative sum of the bits against the bursts'
+        packet boundaries gives the packets finished per tick. Every float
+        operation is the scalar loop's own, in the same order.
+
+        Updates the queues and the period's accumulators in place; returns
+        (end, delivered): the first tick not run (t0 if none qualified) and
+        the packets delivered.
+        """
+        cfg = self.config
+        full_bits = self._full_bits
+        re_sym = cfg.re_per_symbol
+        queues = self._queues
+        queue_bits = self._queue_bits
+        m = len(sched)
+        span = t1 - t0
+        grants, grant_bits, grant_sums = self._grant_table(m)
+        phase = (rr + t0) % m
+        grants = grants[phase : phase + span]
+        # (ticks, m) blocks: served bits, their running sums and the needs
+        e = eff[t0:t1] if m == len(queue_bits) else eff[t0:t1, sched]
+        bits = (grant_bits[phase : phase + span] * e).astype(np.int64)
+        served = bits.cumsum(axis=0)
+        queued0 = np.array([queue_bits[v] for v in sched])
+        # the scalar need is ceil(x) for x = queued bits / (re_sym * eff),
+        # and ceil(x) > g is x > g for integer g
+        x = (queued0 - served + bits) / (re_sym * e)
+        short = (x <= grants).ravel()
+        k = int(short.argmax())
+        k = k // m if short[k] else span
+        if k < span and all(
+            xv > max(g - 1, 0) for xv, g in zip(x[k].tolist(), grants[k].tolist())
+        ):
+            # every need is still at least its grant: the tick runs as a
+            # stretch tick that ends the stretch, emptying some queue
+            k += 1
+        if k == 0:
+            return t0, 0
+        served = served[:k]
+        np.minimum(served[-1], queued0, out=served[-1])
+        final = served[-1].tolist()
+        symbols = (grant_sums[phase + k] - grant_sums[phase]).tolist()
+
+        # one row per burst a vehicle reaches, vehicles in order, oldest
+        # burst first, positions in bits served since t0: (vehicle, where
+        # the head packet ends less one full packet, so that whole packets
+        # finished are (served - it) // full_bits, the packets that count
+        # can reach, where the short last packet ends or _NEVER when the
+        # head is the last, the run delay at tick t0, own-period flag)
+        table = []
+        first_row = []
+        first_end = start_ms + (t0 + 1) * cfg.tick_ms
+        for j, v in enumerate(sched):
+            first_row.append(len(table))
+            offset = 0
+            x_end = final[j]
+            for arrival, burst_period, left, head, last in queues[v]:
+                if offset >= x_end:
+                    break
+                size = head + (left - 2) * full_bits + last if left > 1 else head
+                table.append((
+                    j,
+                    offset + head - full_bits,
+                    max(left - 1, 1),
+                    offset + size if left > 1 else _NEVER,
+                    first_end - arrival,
+                    burst_period == period,
+                ))
+                offset += size
+        first_row.append(len(table))
+        row_j, shifted, before_last, last_end, delay0, _ = np.array(table, dtype=np.int64).reshape(-1, 6).T
+        # packets of each burst finished by the end of each tick: (rows, k)
+        y = served.T[row_j]
+        done = np.minimum(np.maximum(y - shifted[:, None], 0) // full_bits, before_last[:, None])
+        done += y >= last_end[:, None]
+        sent = done.copy()
+        sent[:, 1:] -= done[:, :-1]
+        # one (delay, packets) run per burst and tick: row-major order is
+        # per vehicle, oldest burst first, which is delivery order because
+        # a vehicle's bursts drain one after another
+        flat = sent.ravel()
+        hits = np.flatnonzero(flat)
+        rows, ticks_in = np.divmod(hits, k)
+        pairs = np.empty(2 * hits.size, dtype=np.int64)
+        pairs[0::2] = delay0[rows] + ticks_in * cfg.tick_ms
+        pairs[1::2] = flat[hits]
+        pairs = pairs.tolist()
+        run_bounds = np.searchsorted(rows, first_row).tolist()
+        got = done[:, -1].tolist()
+        for j, v in enumerate(sched):
+            delay_runs[v] += pairs[2 * run_bounds[j] : 2 * run_bounds[j + 1]]
+            symbols_used[v] += symbols[j]
+            x_end = final[j]
+            queue_bits[v] -= x_end
+            q = queues[v]
+            for r in range(first_row[j], first_row[j + 1]):
+                finished = got[r]
+                _, shift, _, end, _, own = table[r]
+                if own:
+                    cohort_delivered[v] += finished
+                burst = q[0]
+                left = burst[_LEFT]
+                if finished == left:
+                    q.popleft()
+                    continue
+                # the packet now in transmission is the burst's packet
+                # finished + 1, short only if it is the last
+                boundary = end if finished + 1 == left > 1 else shift + (finished + 1) * full_bits
+                burst[_HEAD] = boundary - x_end
+                burst[_LEFT] = left - finished
+        return t0 + k, sum(got)
+
     # -- the control-period step ---------------------------------------
 
     def step(self, actions: Sequence) -> tuple[np.ndarray, list[QosSample], list[StepKpis], bool]:
@@ -453,6 +615,15 @@ class NetworkEnv:
         dropped = 0
 
         rr = self._rr_counter
+        arrival_ticks = sorted(arrivals)
+        # per vehicle, the ticks whose eff > 0 differs from the tick before
+        outage_flips = None
+        if not eff.all():
+            outage_flips = [[] for _ in range(n)]
+            flip_t, flip_v = np.nonzero(np.diff(eff > 0.0, axis=0))
+            for u, v in zip((flip_t + 1).tolist(), flip_v.tolist()):
+                outage_flips[v].append(u)
+        scalar_until = 0
         t = 0
         while t < ticks:
             now_ms = start_ms + t * tick_ms
@@ -481,6 +652,39 @@ class NetworkEnv:
                     queue_bits[v] -= head if left == 1 else head + (left - 2) * full_bits + last
                 if queue_bits[v] > 0 and tick_eff[v] > 0.0:
                     needs[v] = math.ceil(queue_bits[v] / (re_sym * tick_eff[v]))
+            # at an equal share of symbols_per_tick / m, the smallest need
+            # lasts min(need) * m / symbols_per_tick ticks; when that covers
+            # the break-even, try to run this tick and the ones after it as
+            # one stretch, up to the next frame, the next drop or the next
+            # outage change of a backlogged vehicle, whichever comes first
+            if (
+                t >= scalar_until
+                and needs
+                and min(needs.values()) * len(needs) ** 2 >= _STRETCH_MIN_VEHICLE_TICKS * symbols_per_tick
+            ):
+                limit = next((a for a in arrival_ticks if a > t), ticks)
+                oldest = min(q[0][_ARRIVAL] for q in queues if q)
+                limit = bisect.bisect_right(
+                    range(t + 1, limit), oldest, key=lambda u: start_ms + u * tick_ms - drop_ms
+                ) + t + 1
+                if outage_flips is not None:
+                    for v in range(n):
+                        if queue_bits[v] > 0:
+                            flips = outage_flips[v]
+                            i = bisect.bisect_right(flips, t)
+                            if i < len(flips) and flips[i] < limit:
+                                limit = flips[i]
+                if (limit - t) * len(needs) < _STRETCH_MIN_VEHICLE_TICKS:
+                    scalar_until = limit
+                else:
+                    end, sent = self._drain_stretch(
+                        t, limit, list(needs), eff, rr, start_ms, period,
+                        symbols_used, cohort_delivered, delay_runs,
+                    )
+                    delivered += sent
+                    if end > t:
+                        t = end
+                        continue
             # an uncontended tick grants every vehicle exactly its need
             if sum(needs.values()) <= symbols_per_tick:
                 used = needs
@@ -544,14 +748,18 @@ class NetworkEnv:
             runs = delay_runs[v]
             if runs:
                 # delays are whole milliseconds, so the sum is exact and the
-                # mean equals numpy's; std needs numpy's own summation order
+                # mean equals numpy's; std needs numpy's summation order, so
+                # the runs stay in delivery order
                 values, counts = runs[0::2], runs[1::2]
                 d_max, d_min = float(max(values)), float(min(values))
                 d_mean = sum(map(operator.mul, values, counts)) / sum(counts)
                 if d_min == d_max:
                     d_std = 0.0
                 else:
-                    d_std = float(np.repeat(np.array(values, dtype=np.float64), counts).std())
+                    # numpy's two-pass std, spelled out without its wrapper
+                    a = np.repeat(np.array(values, dtype=np.float64), counts)
+                    x = a - a.sum() / a.size
+                    d_std = math.sqrt((x * x).sum() / a.size)
             else:
                 # nothing delivered: saturate at the residency bound
                 d_mean = d_max = d_min = cfg.queue_drop_ms

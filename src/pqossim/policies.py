@@ -16,6 +16,14 @@ from .errors import CheckpointError
 from .modes import AGENT_ACTION_IDS, AGENT_ACTION_MODES, ApplicationMode, mode_from_id
 
 
+def load_checked_agent(path, config: AgentConfig | None = None) -> DqnAgent:
+    """Load a checkpoint, refusing one saved with another action mapping."""
+    ids = DqnAgent.checkpoint_action_ids(path)
+    if ids != AGENT_ACTION_IDS:
+        raise CheckpointError(f"{path}: checkpoint action mapping {ids} != expected {AGENT_ACTION_IDS}")
+    return DqnAgent.load(path, config if config is not None else AgentConfig())
+
+
 class ConstantPolicy:
     """Always the same mode, whatever the state."""
 
@@ -43,13 +51,7 @@ class DqlGreedyPolicy:
 
     @classmethod
     def from_checkpoint(cls, path, config: AgentConfig | None = None) -> "DqlGreedyPolicy":
-        ids = DqnAgent.checkpoint_action_ids(path)
-        if ids != AGENT_ACTION_IDS:
-            raise CheckpointError(
-                f"{path}: checkpoint action mapping {ids} != expected {AGENT_ACTION_IDS}"
-            )
-        agent = DqnAgent.load(path, config if config is not None else AgentConfig())
-        return cls(agent.online)
+        return cls(load_checked_agent(path, config).online)
 
     def decide(self, state, rng) -> ApplicationMode:
         q = self.net.forward(np.asarray(state, dtype=np.float64))

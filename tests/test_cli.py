@@ -150,3 +150,45 @@ def test_cli_alpha_flag(tmp_path):
     ) == 0
     text = (out / "resolved_config.txt").read_text()
     assert "reward.alpha = 1.0" in text
+
+
+def test_cli_rejects_infinite_config_values(tmp_path, capsys):
+    for line in ("sim.episode_duration_s = inf", "sim.frame_rate_hz = inf"):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        code = main(
+            ["test", "--config", str(cfg), "--profile", "quick", "--policy", "constant:1452",
+             "--episodes", "1", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert err == f"error: {cfg}:1: {key} must be a finite number, got 'inf'\n"
+
+
+def test_cli_dql_test_checks_the_frozen_weights(tmp_path, monkeypatch, capsys):
+    import pqossim.cli as cli
+    from pqossim.dqn import DqnAgent
+
+    cfg = write_tiny_config(tmp_path)
+    out_off = tmp_path / "off"
+    assert main(
+        ["train-offline", "--config", str(cfg), "--profile", "quick", "--seed", "3", "--out", str(out_off)]
+    ) == 0
+    seen = []
+    real_run_test = cli.run_test
+
+    def spy(config, output_dir, policy, agent=None):
+        seen.append((policy, agent))
+        return real_run_test(config, output_dir, policy, agent)
+
+    monkeypatch.setattr(cli, "run_test", spy)
+    assert main(
+        ["test", "--config", str(cfg), "--profile", "quick", "--seed", "3", "--policy", "dql",
+         "--checkpoint", str(out_off / "checkpoint.npz"), "--out", str(tmp_path / "test")]
+    ) == 0
+    (policy, agent), = seen
+    assert isinstance(agent, DqnAgent)
+    assert policy.net is agent.online
+    capsys.readouterr()

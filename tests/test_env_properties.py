@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pqossim.env as env_module
 from pqossim.env import NetworkEnv, SimConfig
-from pqossim.modes import CANONICAL_MODES
+from pqossim.modes import CANONICAL_MODES, MODE_1450
 
 _CONFIGS = st.builds(
     SimConfig,
@@ -41,3 +42,96 @@ def test_cell_invariants_hold_every_step(cfg, data):
             assert k.delay_std >= 0.0
             assert 0.0 <= k.prr <= 1.0
             assert 0 <= k.packets_delivered <= k.packets_generated
+
+
+def _step_side_by_side(cfg, seed, action_lists, thresholds):
+    """Step one env per break-even threshold through the same actions.
+
+    Yields, after every step, one observation per env: the states, samples,
+    KPIs and the cell counters.
+    """
+    envs = [NetworkEnv(cfg) for _ in thresholds]
+    for env in envs:
+        env.reset(seed)
+    shipped = env_module._STRETCH_MIN_VEHICLE_TICKS
+    try:
+        for actions in action_lists:
+            seen = []
+            for env, threshold in zip(envs, thresholds):
+                env_module._STRETCH_MIN_VEHICLE_TICKS = threshold
+                states, samples, kpis, _ = env.step(actions)
+                counters = (
+                    env.total_generated,
+                    env.total_delivered,
+                    env.total_dropped,
+                    env.queued_packets(),
+                    env.scheduler_idle_violations,
+                )
+                seen.append((states, samples, kpis, counters))
+            yield seen
+    finally:
+        env_module._STRETCH_MIN_VEHICLE_TICKS = shipped
+
+
+_STRETCH_CONFIGS = st.builds(
+    SimConfig,
+    n_vehicles=st.integers(1, 6),
+    frame_rate_hz=st.floats(2.0, 40.0),
+    queue_drop_ms=st.floats(1.0, 500.0).filter(lambda d: d != int(d)),
+    tick_ms=st.sampled_from([1, 2, 5]),
+    tx_power_dbm=st.one_of(st.just(23.0), st.floats(-25.0, 0.0)),
+    packet_size_bytes=st.integers(200, 12_000),
+    symbols_per_tick=st.integers(1, 30),
+    bandwidth_mhz=st.floats(5.0, 100.0),
+    episode_duration_s=st.just(0.6),  # 6 periods
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_STRETCH_CONFIGS, data=st.data())
+def test_stretch_drain_matches_scalar_ticks(cfg, data):
+    """Stretches change no output: shipped, eager and all-scalar envs agree.
+
+    The all-scalar reference sets the break-even above ticks x vehicles, so
+    no stretch qualifies; the eager env tries a stretch on every tick whose
+    candidate run is non-empty.
+    """
+    n = cfg.n_vehicles
+    action_lists = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(CANONICAL_MODES), min_size=n, max_size=n),
+            min_size=cfg.steps_per_episode,
+            max_size=cfg.steps_per_episode,
+        )
+    )
+    scalar = cfg.ticks_per_period * n + 1
+    thresholds = (env_module._STRETCH_MIN_VEHICLE_TICKS, 1, scalar)
+    for seen in _step_side_by_side(cfg, cfg.rng_seed, action_lists, thresholds):
+        ref_states, ref_samples, ref_kpis, ref_counters = seen[-1]
+        for states, samples, kpis, counters in seen[:-1]:
+            assert np.array_equal(states, ref_states)
+            assert samples == ref_samples
+            assert kpis == ref_kpis
+            assert counters == ref_counters
+
+
+def test_stretches_cover_the_contended_ticks(monkeypatch):
+    """In a loaded five-vehicle cell nearly every tick runs inside a stretch."""
+    cfg = SimConfig(n_vehicles=5, episode_duration_s=2.0)
+    covered = []
+    drain = NetworkEnv._drain_stretch
+
+    def counting(self, t0, *args):
+        end, delivered = drain(self, t0, *args)
+        covered.append(end - t0)
+        return end, delivered
+
+    monkeypatch.setattr(NetworkEnv, "_drain_stretch", counting)
+    action_lists = [[MODE_1450] * 5] * cfg.steps_per_episode
+    scalar = cfg.ticks_per_period * 5 + 1
+    for seen in _step_side_by_side(cfg, 7, action_lists, (env_module._STRETCH_MIN_VEHICLE_TICKS, scalar)):
+        (states, samples, kpis, counters), ref = seen
+        assert np.array_equal(states, ref[0])
+        assert (samples, kpis, counters) == ref[1:]
+    assert sum(covered) >= 0.8 * cfg.steps_per_episode * cfg.ticks_per_period
