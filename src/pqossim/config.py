@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dqn import AgentConfig
@@ -21,50 +22,6 @@ from .errors import ConfigError
 from .reward import RewardParams
 
 PROFILES = ("quick", "paper")
-
-# (section, key) -> (config group, dataclass field)
-_SIM_SECTIONS = {
-    "sim": (
-        "carrier_frequency_ghz",
-        "bandwidth_mhz",
-        "tx_power_dbm",
-        "noise_figure_db",
-        "control_period_ms",
-        "episode_duration_s",
-        "tick_ms",
-        "frame_rate_hz",
-        "n_vehicles",
-        "rng_seed",
-    ),
-    "channel": (
-        "pathloss_exponent",
-        "shadowing_sigma_db",
-        "shadowing_corr",
-        "cell_radius_m",
-        "mcs_table_path",
-    ),
-    "mobility": ("route_half_length_m", "route_half_width_m", "speed_mps"),
-    "traffic": ("packet_size_bytes", "queue_drop_ms", "payload_cv"),
-    "sched": ("symbols_per_tick",),
-    "bounds": ("delay_bound_ms", "sinr_min_db", "sinr_max_db"),
-}
-
-_AGENT_FIELDS = (
-    "discount",
-    "learning_rate",
-    "weight_decay",
-    "batch_size",
-    "replay_capacity",
-    "target_sync_period",
-    "eps_start",
-    "eps_end",
-    "eps_decay_episodes",
-    "rng_seed",
-)
-
-_REWARD_FIELDS = ("alpha", "delta_m_ms", "cd_m")
-
-_RUN_FIELDS = ("offline_episodes", "online_episodes", "test_episodes")
 
 
 @dataclass
@@ -101,6 +58,39 @@ class ExperimentConfig:
         )
 
 
+# section -> (ExperimentConfig attribute, keys). SimConfig's fields are
+# split by topic; every other group is one section keyed by its fields.
+SECTIONS = {
+    "sim": (
+        "sim",
+        (
+            "carrier_frequency_ghz",
+            "bandwidth_mhz",
+            "tx_power_dbm",
+            "noise_figure_db",
+            "control_period_ms",
+            "episode_duration_s",
+            "tick_ms",
+            "frame_rate_hz",
+            "n_vehicles",
+            "rng_seed",
+        ),
+    ),
+    "channel": (
+        "sim",
+        ("pathloss_exponent", "shadowing_sigma_db", "shadowing_corr", "cell_radius_m", "mcs_table_path"),
+    ),
+    "mobility": ("sim", ("route_half_length_m", "route_half_width_m", "speed_mps")),
+    "traffic": ("sim", ("packet_size_bytes", "queue_drop_ms", "payload_cv")),
+    "sched": ("sim", ("symbols_per_tick",)),
+    "bounds": ("sim", ("sinr_min_db", "sinr_max_db")),
+    **{
+        attr: (attr, tuple(f.name for f in fields(cls)))
+        for attr, cls in (("agent", AgentConfig), ("reward", RewardParams), ("run", RunLengths))
+    },
+}
+
+
 def default_config(profile: str = "paper") -> ExperimentConfig:
     """Shipped defaults for a profile.
 
@@ -122,57 +112,30 @@ def default_config(profile: str = "paper") -> ExperimentConfig:
     return ExperimentConfig(sim=sim, agent=agent, reward=RewardParams(), run=RunLengths(), profile=profile)
 
 
-def _parse_scalar(text: str, current, key: str):
-    if isinstance(current, bool):
-        raise ConfigError("boolean config fields are not supported")
-    if isinstance(current, int) and not isinstance(current, bool):
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"expected integer, got {text!r}") from None
-    if isinstance(current, float):
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(f"expected number, got {text!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be a finite number, got {text!r}")
-        return value
-    return text
+def _parse(text: str, kind: type, key: str):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {text!r}")
+    return value
 
 
 def apply_kv(config: ExperimentConfig, dotted_key: str, value: str) -> None:
-    """Set one `section.key = value` entry onto the config."""
+    """Set one `section.key = value` entry onto the config, parsed by the field's type."""
     if "." not in dotted_key:
         raise ConfigError(f"config key {dotted_key!r} must look like section.key")
     section, key = dotted_key.split(".", 1)
-    if section in _SIM_SECTIONS:
-        if key not in _SIM_SECTIONS[section]:
-            raise ConfigError(f"unknown config key {dotted_key!r}")
-        target = config.sim
-    elif section == "agent":
-        if key not in _AGENT_FIELDS:
-            raise ConfigError(f"unknown config key {dotted_key!r}")
-        target = config.agent
-    elif section == "reward":
-        if key not in _REWARD_FIELDS:
-            raise ConfigError(f"unknown config key {dotted_key!r}")
-        # RewardParams is frozen; rebuild with the new field
-        parsed = _parse_scalar(value, getattr(config.reward, key), dotted_key)
-        config.reward = dataclasses.replace(config.reward, **{key: parsed})
-        return
-    elif section == "run":
-        if key not in _RUN_FIELDS:
-            raise ConfigError(f"unknown config key {dotted_key!r}")
-        try:
-            setattr(config.run, key, int(value))
-        except ValueError:
-            raise ConfigError(f"expected integer for {dotted_key!r}, got {value!r}") from None
-        return
-    else:
+    if section not in SECTIONS:
         raise ConfigError(f"unknown config section {section!r}")
-    current = getattr(target, key)
-    setattr(target, key, _parse_scalar(value, current, dotted_key))
+    attr, keys = SECTIONS[section]
+    if key not in keys:
+        raise ConfigError(f"unknown config key {dotted_key!r}")
+    group = getattr(config, attr)
+    hint = typing.get_type_hints(type(group))[key]
+    kind, *_ = typing.get_args(hint) or (hint,)  # `int | None` parses as int
+    setattr(group, key, _parse(value, kind, dotted_key))
 
 
 def load_config(path, profile: str = "paper") -> ExperimentConfig:
@@ -200,26 +163,19 @@ def load_config(path, profile: str = "paper") -> ExperimentConfig:
 
 def validate(config: ExperimentConfig) -> None:
     config.sim.validate()
-    # dataclass __post_init__ validations re-run on replace; re-trigger here
     try:
-        AgentConfig(**dataclasses.asdict(config.agent))
+        config.agent.validate()
     except ValueError as exc:
         # AgentConfig's messages start with the field name
         raise ConfigError(f"agent.{exc}") from None
-    RewardParams(**dataclasses.asdict(config.reward))
+    config.reward.validate()
 
 
 def serialize(config: ExperimentConfig) -> str:
     """Render the full resolved config as parseable `section.key = value` text."""
+    resolved = dataclasses.replace(config, run=config.resolved_run())
     lines = [f"# profile: {config.profile}"]
-    for section, fields in _SIM_SECTIONS.items():
-        for key in fields:
-            lines.append(f"{section}.{key} = {getattr(config.sim, key)}")
-    for key in _AGENT_FIELDS:
-        lines.append(f"agent.{key} = {getattr(config.agent, key)}")
-    for key in _REWARD_FIELDS:
-        lines.append(f"reward.{key} = {getattr(config.reward, key)}")
-    run = config.resolved_run()
-    for key in _RUN_FIELDS:
-        lines.append(f"run.{key} = {getattr(run, key)}")
+    for section, (attr, keys) in SECTIONS.items():
+        group = getattr(resolved, attr)
+        lines.extend(f"{section}.{key} = {getattr(group, key)}" for key in keys)
     return "\n".join(lines) + "\n"

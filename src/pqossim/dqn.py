@@ -11,6 +11,8 @@ involved, which keeps runs bit-reproducible across machines.
 from __future__ import annotations
 
 import math
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,9 @@ class AgentConfig:
     rng_seed: int = 1
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         if not 0.0 <= self.discount < 1.0:
             raise ValueError(f"discount must be in [0, 1), got {self.discount}")
         if self.learning_rate <= 0:
@@ -343,7 +348,11 @@ class DqnAgent:
         return out
 
     def save(self, path, action_mode_ids=AGENT_ACTION_IDS) -> None:
-        """Write a versioned checkpoint; round-trips bit-exact."""
+        """Write a versioned checkpoint; round-trips bit-exact.
+
+        The file is written beside `path` and renamed over it, so a write
+        that dies midway leaves any earlier checkpoint whole.
+        """
         data = {
             "format_version": np.int64(CHECKPOINT_FORMAT_VERSION),
             "layer_sizes": np.asarray(self.online.layer_sizes, dtype=np.int64),
@@ -351,14 +360,22 @@ class DqnAgent:
             "action_mode_ids": np.asarray(action_mode_ids, dtype=np.int64),
         }
         data.update(self._checkpoint_arrays())
-        np.savez(path, **data)
+        tmp = f"{path}.tmp"
+        try:
+            # a file handle, since np.savez appends ".npz" to a bare path
+            with open(tmp, "wb") as fh:
+                np.savez(fh, **data)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path, config: AgentConfig) -> "DqnAgent":
         try:
             with np.load(path, allow_pickle=False) as data:
                 return cls._from_npz(dict(data), config, path)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
 
     @classmethod
@@ -384,7 +401,7 @@ class DqnAgent:
         try:
             with np.load(path, allow_pickle=False) as data:
                 return tuple(int(i) for i in data["action_mode_ids"])
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
 
 

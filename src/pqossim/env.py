@@ -96,8 +96,7 @@ class SimConfig:
     payload_cv: float = 0.10
     # scheduler
     symbols_per_tick: int = 14
-    # state-vector normalization bounds
-    delay_bound_ms: float = 400.0
+    # SINR normalization bounds of the state vector
     sinr_min_db: float = -10.0
     sinr_max_db: float = 40.0
 
@@ -111,8 +110,10 @@ class SimConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.carrier_frequency_ghz <= 0:
             raise ConfigError("carrier_frequency_ghz must be > 0")
-        if self.bandwidth_mhz <= 0:
-            raise ConfigError("bandwidth_mhz must be > 0")
+        if not math.isfinite(_RE_PER_SYMBOL_PER_MHZ * self.bandwidth_mhz) or self.re_per_symbol < 1:
+            raise ConfigError(
+                f"bandwidth_mhz = {self.bandwidth_mhz} gives no finite resource-element count >= 1 per symbol"
+            )
         if self.noise_figure_db < 0:
             raise ConfigError("noise_figure_db must be >= 0")
         if int(self.control_period_ms) != self.control_period_ms or self.control_period_ms <= 0:
@@ -150,8 +151,6 @@ class SimConfig:
             raise ConfigError("payload_cv must be >= 0")
         if self.symbols_per_tick < 1:
             raise ConfigError("symbols_per_tick must be >= 1")
-        if self.delay_bound_ms <= 0:
-            raise ConfigError("delay_bound_ms must be > 0")
         if self.sinr_min_db >= self.sinr_max_db:
             raise ConfigError("sinr_min_db must be < sinr_max_db")
 
@@ -215,7 +214,9 @@ def state_vector(kpis: StepKpis, config: SimConfig, mcs_index_max: int) -> np.nd
     delay_std, prr]; every entry clamped to [0, 1]. The MCS feature is
     scaled by the table's top index (`McsTable.index_max`), so it reaches
     1.0 exactly there whatever the table's length; a one-row table has
-    only index 0 and keeps the feature at 0.
+    only index 0 and keeps the feature at 0. The delay features are scaled
+    by `queue_drop_ms`, where delays saturate: a period that delivers
+    nothing reads 1.0 on delay mean, max and min.
     """
     budget = config.symbol_budget_per_period
     sinr_span = config.sinr_max_db - config.sinr_min_db
@@ -224,10 +225,10 @@ def state_vector(kpis: StepKpis, config: SimConfig, mcs_index_max: int) -> np.nd
             kpis.mcs_index / max(mcs_index_max, 1),
             kpis.ofdm_symbols_used / budget,
             (kpis.sinr_db - config.sinr_min_db) / sinr_span,
-            kpis.delay_mean / config.delay_bound_ms,
-            kpis.delay_max / config.delay_bound_ms,
-            kpis.delay_min / config.delay_bound_ms,
-            kpis.delay_std / config.delay_bound_ms,
+            kpis.delay_mean / config.queue_drop_ms,
+            kpis.delay_max / config.queue_drop_ms,
+            kpis.delay_min / config.queue_drop_ms,
+            kpis.delay_std / config.queue_drop_ms,
             kpis.prr,
         ],
         dtype=np.float64,

@@ -49,10 +49,6 @@ class DqlGreedyPolicy:
         self.net = net
         self.name = "dql"
 
-    @classmethod
-    def from_checkpoint(cls, path, config: AgentConfig | None = None) -> "DqlGreedyPolicy":
-        return cls(load_checked_agent(path, config).online)
-
     def decide(self, state, rng) -> ApplicationMode:
         q = self.net.forward(np.asarray(state, dtype=np.float64))
         return AGENT_ACTION_MODES[int(np.argmax(q))]

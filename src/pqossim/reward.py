@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
+@dataclass
 class RewardParams:
     """Weight and tolerance bounds of the reward.
 
@@ -28,6 +28,9 @@ class RewardParams:
     cd_m: float = 45.0
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.delta_m_ms <= 0:

@@ -192,3 +192,39 @@ def test_cli_dql_test_checks_the_frozen_weights(tmp_path, monkeypatch, capsys):
     assert isinstance(agent, DqnAgent)
     assert policy.net is agent.online
     capsys.readouterr()
+
+
+def test_cli_rejects_bandwidth_without_resource_elements(tmp_path, capsys):
+    for value in ("0.01", "1e308"):
+        cfg = tmp_path / "bw.cfg"
+        cfg.write_text(f"sim.bandwidth_mhz = {value}\n")
+        capsys.readouterr()
+        code = main(
+            ["test", "--config", str(cfg), "--profile", "quick", "--policy", "constant:1452",
+             "--episodes", "1", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bandwidth_mhz = {float(value)} gives no finite"), err
+        assert err.count("\n") == 1
+
+
+def test_cli_rejects_truncated_checkpoint(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    out_off = tmp_path / "off"
+    assert main(
+        ["train-offline", "--config", str(cfg), "--profile", "quick", "--seed", "3", "--out", str(out_off)]
+    ) == 0
+    whole = (out_off / "checkpoint.npz").read_bytes()
+    torn = tmp_path / "torn.npz"
+    for cut in (whole[: len(whole) // 2], whole[:-30]):
+        torn.write_bytes(cut)
+        for command in (["train-online"], ["test", "--policy", "dql"]):
+            capsys.readouterr()
+            code = main(
+                [*command, "--config", str(cfg), "--profile", "quick", "--checkpoint", str(torn),
+                 "--out", str(tmp_path / "out")]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {torn}: ") and err.count("\n") == 1, err

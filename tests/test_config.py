@@ -5,8 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pqossim.config import _AGENT_FIELDS, _REWARD_FIELDS, _RUN_FIELDS, _SIM_SECTIONS
-from pqossim.config import apply_kv, default_config, load_config, serialize
+from pqossim.config import SECTIONS, apply_kv, default_config, load_config, serialize
 from pqossim.env import SimConfig
 from pqossim.errors import ConfigError
 
@@ -84,6 +83,7 @@ run.test_episodes = 3
         "sim.n_vehicles = five",
         "sim.n_vehicles",
         "reward.alpha = 2.0",
+        "bounds.delay_bound_ms = 400.0",
     ],
 )
 def test_bad_config_lines_rejected(tmp_path, line):
@@ -104,6 +104,44 @@ def test_serialize_roundtrip(tmp_path):
     assert again.sim.n_vehicles == 5
     assert again.reward.alpha == 1.0
     assert serialize(again) == text
+
+
+def test_every_field_has_exactly_one_key():
+    cfg = default_config("quick")
+    owners = [(attr, key) for attr, keys in SECTIONS.values() for key in keys]
+    assert len(owners) == len(set(owners))
+    groups = ("sim", "agent", "reward", "run")
+    assert set(owners) == {(g, f.name) for g in groups for f in dataclasses.fields(getattr(cfg, g))}
+    assert len(owners) == 40
+
+
+def _another_valid_value(value):
+    if isinstance(value, str):
+        return "tables/x.txt"
+    if isinstance(value, int):
+        return value + 1
+    return value * 0.5 + 0.125  # keeps every bounded float inside its bounds
+
+
+def test_serialize_roundtrips_a_changed_value_for_every_key(tmp_path):
+    cfg = default_config("quick")
+    default_text = serialize(cfg)
+    # the timing keys must keep dividing each other
+    changed = {"sim.control_period_ms": 50, "sim.tick_ms": 2, "sim.episode_duration_s": 10.0}
+    for section, (attr, keys) in SECTIONS.items():
+        group = cfg.resolved_run() if attr == "run" else getattr(cfg, attr)
+        for key in keys:
+            value = getattr(group, key)
+            changed.setdefault(f"{section}.{key}", _another_valid_value(value))
+    for dotted, new in changed.items():
+        apply_kv(cfg, dotted, str(new))
+    text = serialize(cfg)
+    path = tmp_path / "changed.cfg"
+    path.write_text(text)
+    assert serialize(load_config(path, profile="quick")) == text
+    for dotted, new in changed.items():
+        line = f"{dotted} = {new}\n"
+        assert line in text and line not in default_text, line
 
 
 def test_apply_kv_validates_types():
@@ -156,12 +194,7 @@ def test_agent_errors_surface_as_config_errors(tmp_path):
         load_config(path)
 
 
-_KNOWN_KEYS = [
-    *(f"{section}.{key}" for section, keys in _SIM_SECTIONS.items() for key in keys),
-    *(f"agent.{key}" for key in _AGENT_FIELDS),
-    *(f"reward.{key}" for key in _REWARD_FIELDS),
-    *(f"run.{key}" for key in _RUN_FIELDS),
-]
+_KNOWN_KEYS = [f"{section}.{key}" for section, (_, keys) in SECTIONS.items() for key in keys]
 _VALUES = st.one_of(
     st.integers(-(10**6), 10**6).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),

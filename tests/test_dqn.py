@@ -404,11 +404,31 @@ def test_wrong_shape_checkpoint_array_rejected(tmp_path):
 
 def test_corrupt_checkpoint_rejected(tmp_path):
     path = tmp_path / "bad.npz"
-    path.write_bytes(b"this is not a checkpoint")
-    with pytest.raises(CheckpointError):
-        DqnAgent.load(path, AgentConfig())
-    with pytest.raises(CheckpointError):
-        DqnAgent.checkpoint_action_ids(path)
+    agent_with().save(path)
+    whole = path.read_bytes()
+    # garbage, then the torn copies a killed write leaves
+    for content in (b"this is not a checkpoint", whole[: len(whole) // 2], whole[:-30], b""):
+        path.write_bytes(content)
+        with pytest.raises(CheckpointError):
+            DqnAgent.load(path, AgentConfig())
+        with pytest.raises(CheckpointError):
+            DqnAgent.checkpoint_action_ids(path)
+
+
+def test_failed_save_leaves_the_earlier_checkpoint_whole(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.npz"
+    agent_with().save(path)
+    before = path.read_bytes()
+
+    def torn_savez(file, **arrays):
+        file.write(before[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError, match="disk full"):
+        agent_with(rng_seed=6).save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # -- end-to-end sanity on a tiny known MDP ------------------------------------

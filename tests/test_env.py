@@ -168,6 +168,17 @@ def test_outage_starves_queue_and_saturates_delay_features():
     assert np.all((states >= 0.0) & (states <= 1.0))
 
 
+def test_delay_features_saturate_at_the_drop_bound():
+    # delays saturate at queue_drop_ms, which is also their scale: a period
+    # that delivers nothing reads exactly 1.0 however short the bound
+    table = McsTable(np.array([[1000.0, 1.0]]))
+    env = NetworkEnv(quick_cfg(queue_drop_ms=100.0), mcs_table=table)
+    env.reset(10)
+    states, _, kpis, _ = env.step([MODE_1452])
+    assert kpis[0].packets_delivered == 0
+    assert list(states[0, 3:7]) == [1.0, 1.0, 1.0, 0.0]  # mean, max, min, std
+
+
 def test_state_features_always_in_unit_interval():
     env = NetworkEnv(quick_cfg(n_vehicles=2, episode_duration_s=3.0))
     env.reset(12)
@@ -252,6 +263,8 @@ def test_qos_sample_carries_mode_cd():
     "field,value",
     [
         ("bandwidth_mhz", 0.0),
+        ("bandwidth_mhz", 0.01),  # rounds to 0 resource elements per symbol
+        ("bandwidth_mhz", 1e308),  # overflows them
         ("control_period_ms", 0),
         ("control_period_ms", 33),  # 33 not divisible into 2000 ms
         ("tick_ms", 3),  # does not divide 100
