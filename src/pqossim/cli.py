@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .dqn import DqnAgent
 from .errors import CheckpointError, ConfigError
 from .harness import emit_figures_csv, read_records_csv, run_offline_training, run_online_training, run_test
 from .policies import ConstantPolicy, DqlGreedyPolicy, load_checked_agent
@@ -63,7 +62,7 @@ def _write_resolved(config, out: Path) -> None:
 def _cmd_train_offline(args) -> int:
     config = _build_config(args, "offline")
     _write_resolved(config, args.out)
-    agent = DqnAgent.load(args.checkpoint, config.agent) if args.checkpoint else None
+    agent = load_checked_agent(args.checkpoint, config.agent) if args.checkpoint else None
     run_offline_training(config, args.out, agent)
     print(f"offline training done: {config.resolved_run().offline_episodes} episodes -> {args.out}")
     return 0
@@ -72,7 +71,7 @@ def _cmd_train_offline(args) -> int:
 def _cmd_train_online(args) -> int:
     config = _build_config(args, "online")
     _write_resolved(config, args.out)
-    agent = DqnAgent.load(args.checkpoint, config.agent) if args.checkpoint else None
+    agent = load_checked_agent(args.checkpoint, config.agent) if args.checkpoint else None
     run_online_training(config, args.out, agent)
     print(f"online training done: {config.resolved_run().online_episodes} episodes -> {args.out}")
     return 0

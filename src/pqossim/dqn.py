@@ -375,7 +375,7 @@ class DqnAgent:
         try:
             with np.load(path, allow_pickle=False) as data:
                 return cls._from_npz(dict(data), config, path)
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
 
     @classmethod
@@ -401,7 +401,7 @@ class DqnAgent:
         try:
             with np.load(path, allow_pickle=False) as data:
                 return tuple(int(i) for i in data["action_mode_ids"])
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        except (OSError, ValueError, KeyError, EOFError, NotImplementedError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
 
 

@@ -53,6 +53,12 @@ _STATE_SIZE = 8
 # every fleet size.
 _STRETCH_MIN_VEHICLE_TICKS = 40
 
+# `NetworkEnv.step` computes the channel in blocks of as many whole periods
+# as fit this many tick x vehicle values, at least one: 20 periods at one
+# vehicle, 4 at five. That spreads the channel's fixed numpy cost while its
+# arrays stay a few tens of KB, whatever the episode length.
+_CHANNEL_BLOCK_VALUES = 2048
+
 # Padding for the burst table of `_drain_stretch`: a bit offset no served
 # amount reaches.
 _NEVER = 1 << 62
@@ -303,6 +309,7 @@ class NetworkEnv:
         self._queues = [deque() for _ in range(n)]
         self._queue_bits = [0] * n
         self._step_count = 0
+        self._block_start = self._block_end = 0
         self._rr_counter = 0
         self.total_generated = 0
         self.total_delivered = 0
@@ -323,12 +330,20 @@ class NetworkEnv:
 
     # -- per-period physics --------------------------------------------
 
-    def _channel_for_period(self, period_start_ms: int):
-        """Per-tick distance, SINR, MCS and efficiency arrays, shape (T, n)."""
+    def _channel_block(self, periods: int) -> None:
+        """Compute the channel of `periods` whole periods from the current one.
+
+        Keeps the per-tick efficiency, shape (periods * T, n), each period's
+        tick means of SINR and MCS and, if any tick is in outage, per vehicle
+        the block rows whose eff > 0 differs from the row before in the same
+        period.
+        """
         cfg = self.config
         n = cfg.n_vehicles
         ticks = cfg.ticks_per_period
-        t_s = (period_start_ms + np.arange(ticks, dtype=np.float64) * cfg.tick_ms) / 1000.0
+        span = periods * ticks
+        start_ms = self._step_count * cfg.control_period_ms
+        t_s = (start_ms + np.arange(span, dtype=np.float64) * cfg.tick_ms) / 1000.0
         s = (self._phase_m[None, :] + cfg.speed_mps * t_s[:, None]) % cfg.route_perimeter_m
 
         # position along the segment s falls in, in closed form
@@ -340,16 +355,14 @@ class NetworkEnv:
 
         sigma = cfg.shadowing_sigma_db
         rho = cfg.shadowing_corr
-        innov = self._rng_shadow.standard_normal((ticks, n)) * (sigma * math.sqrt(1.0 - rho * rho))
+        # one draw for the block is the same stream as one draw per period
+        innov = self._rng_shadow.standard_normal((span, n)) * (sigma * math.sqrt(1.0 - rho * rho))
         # shadow[t] = innov[t] + rho * shadow[t - 1], one scalar chain per vehicle
-        columns = innov.T.tolist()
-        last = self._shadow_last
-        for v, column in enumerate(columns):
-            y_v = last[v]
-            for i, x_i in enumerate(column):
-                y_v = x_i + rho * y_v
-                column[i] = y_v
-            last[v] = y_v
+        columns = []
+        for v, column in enumerate(innov.T.tolist()):
+            y = self._shadow_last[v]
+            columns.append([y := x + rho * y for x in column])
+            self._shadow_last[v] = y
         shadow = np.ascontiguousarray(np.array(columns).T)
 
         pathloss = cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * np.log10(
@@ -357,7 +370,17 @@ class NetworkEnv:
         )
         sinr_db = cfg.tx_power_dbm - pathloss + shadow - cfg.noise_dbm
         mcs_idx, eff = self.mcs_table.lookup(sinr_db)
-        return sinr_db, mcs_idx, eff
+        by_period = (periods, ticks, n)
+        self._eff = eff
+        self._mean_sinr = (sinr_db.reshape(by_period).sum(axis=1) / ticks).tolist()
+        self._mean_mcs = (mcs_idx.reshape(by_period).sum(axis=1, dtype=np.float64) / ticks).tolist()
+        self._outage_flips = None
+        if not eff.all():
+            self._outage_flips = flips = [[] for _ in range(n)]
+            p, t, v = np.nonzero(np.diff(eff.reshape(by_period) > 0.0, axis=1))
+            for u, w in zip((p * ticks + t + 1).tolist(), v.tolist()):
+                flips[w].append(u)
+        self._block_start, self._block_end = self._step_count, self._step_count + periods
 
     def _enqueue_frame(self, vehicle: int, arrival_ms: int, period: int, mode: ApplicationMode) -> int:
         """Queue one frame as a burst; returns its packet count."""
@@ -590,8 +613,16 @@ class NetworkEnv:
         drop_ms = cfg.queue_drop_ms
         full_bits = self._full_bits
 
-        sinr_db, mcs_idx, eff = self._channel_for_period(start_ms)
+        if period == self._block_end:
+            per_block = max(1, _CHANNEL_BLOCK_VALUES // (ticks * n))
+            self._channel_block(min(per_block, cfg.steps_per_episode - period))
+        # this period's ticks are rows base, base + 1, ... of the block
+        base = (period - self._block_start) * ticks
+        eff = self._eff[base : base + ticks]
+        # rows of Python floats for the scalar ticks; one block's rows would
+        # cost more, in garbage collection of their many small lists
         eff_rows = eff.tolist()
+        outage_flips = self._outage_flips
 
         # frames arriving at each tick offset within this period (same for the fleet)
         interval = self._frame_interval_ms
@@ -617,13 +648,6 @@ class NetworkEnv:
 
         rr = self._rr_counter
         arrival_ticks = sorted(arrivals)
-        # per vehicle, the ticks whose eff > 0 differs from the tick before
-        outage_flips = None
-        if not eff.all():
-            outage_flips = [[] for _ in range(n)]
-            flip_t, flip_v = np.nonzero(np.diff(eff > 0.0, axis=0))
-            for u, v in zip((flip_t + 1).tolist(), flip_v.tolist()):
-                outage_flips[v].append(u)
         scalar_until = 0
         t = 0
         while t < ticks:
@@ -672,9 +696,9 @@ class NetworkEnv:
                     for v in range(n):
                         if queue_bits[v] > 0:
                             flips = outage_flips[v]
-                            i = bisect.bisect_right(flips, t)
-                            if i < len(flips) and flips[i] < limit:
-                                limit = flips[i]
+                            i = bisect.bisect_right(flips, base + t)
+                            if i < len(flips) and flips[i] < base + limit:
+                                limit = flips[i] - base
                 if (limit - t) * len(needs) < _STRETCH_MIN_VEHICLE_TICKS:
                     scalar_until = limit
                 else:
@@ -739,8 +763,8 @@ class NetworkEnv:
         self.total_dropped += dropped
 
         # -- aggregation ------------------------------------------------
-        mean_sinr = sinr_db.sum(axis=0) / ticks
-        mean_mcs = mcs_idx.sum(axis=0, dtype=np.float64) / ticks
+        mean_sinr = self._mean_sinr[period - self._block_start]
+        mean_mcs = self._mean_mcs[period - self._block_start]
         mcs_index_max = self.mcs_table.index_max
         states = np.empty((n, _STATE_SIZE), dtype=np.float64)
         kpis_out: list[StepKpis] = []
@@ -770,7 +794,7 @@ class NetworkEnv:
             kpis = StepKpis(
                 mcs_index=int(round(mean_mcs[v])),
                 ofdm_symbols_used=symbols_used[v],
-                sinr_db=float(mean_sinr[v]),
+                sinr_db=mean_sinr[v],
                 delay_mean=d_mean,
                 delay_max=d_max,
                 delay_min=d_min,

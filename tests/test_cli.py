@@ -228,3 +228,38 @@ def test_cli_rejects_truncated_checkpoint(tmp_path, capsys):
             assert code == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {torn}: ") and err.count("\n") == 1, err
+
+
+def test_cli_rejects_unreadable_and_remapped_checkpoints(tmp_path, capsys):
+    """Every command that loads a checkpoint refuses these with one line, exit 2."""
+    cfg = write_tiny_config(tmp_path)
+    out_off = tmp_path / "off"
+    assert main(
+        ["train-offline", "--config", str(cfg), "--profile", "quick", "--seed", "3", "--out", str(out_off)]
+    ) == 0
+    saved = out_off / "checkpoint.npz"
+    # a compression method zipfile does not know, in every member
+    unknown = tmp_path / "unknown.npz"
+    data = bytearray(saved.read_bytes())
+    at = data.find(b"PK\x01\x02")
+    while at >= 0:
+        data[at + 10 : at + 12] = (99).to_bytes(2, "little")
+        at = data.find(b"PK\x01\x02", at + 4)
+    unknown.write_bytes(bytes(data))
+    # the same weights, their action indices now naming other modes
+    remapped = tmp_path / "remapped.npz"
+    with np.load(saved) as arrays:
+        arrays = dict(arrays)
+    arrays["action_mode_ids"] = arrays["action_mode_ids"][::-1]
+    with open(remapped, "wb") as fh:
+        np.savez(fh, **arrays)
+    for path, reason in ((unknown, "cannot read checkpoint"), (remapped, "checkpoint action mapping")):
+        for command in (["train-offline"], ["train-online"], ["test", "--policy", "dql"]):
+            capsys.readouterr()
+            code = main(
+                [*command, "--config", str(cfg), "--profile", "quick", "--checkpoint", str(path),
+                 "--out", str(tmp_path / "out")]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1, err

@@ -406,8 +406,14 @@ def test_corrupt_checkpoint_rejected(tmp_path):
     path = tmp_path / "bad.npz"
     agent_with().save(path)
     whole = path.read_bytes()
-    # garbage, then the torn copies a killed write leaves
-    for content in (b"this is not a checkpoint", whole[: len(whole) // 2], whole[:-30], b""):
+    # every member stored with a compression method zipfile does not know
+    unknown = bytearray(whole)
+    at = unknown.find(b"PK\x01\x02")
+    while at >= 0:
+        unknown[at + 10 : at + 12] = (99).to_bytes(2, "little")
+        at = unknown.find(b"PK\x01\x02", at + 4)
+    # garbage, the torn copies a killed write leaves, then the unknown method
+    for content in (b"this is not a checkpoint", whole[: len(whole) // 2], whole[:-30], b"", bytes(unknown)):
         path.write_bytes(content)
         with pytest.raises(CheckpointError):
             DqnAgent.load(path, AgentConfig())

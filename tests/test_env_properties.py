@@ -1,10 +1,13 @@
 """Property tests: cell invariants over random configs and action sequences."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pqossim.env as env_module
+from pqossim.config import default_config
 from pqossim.env import NetworkEnv, SimConfig
 from pqossim.modes import CANONICAL_MODES, MODE_1450
 
@@ -44,21 +47,21 @@ def test_cell_invariants_hold_every_step(cfg, data):
             assert 0 <= k.packets_delivered <= k.packets_generated
 
 
-def _step_side_by_side(cfg, seed, action_lists, thresholds):
-    """Step one env per break-even threshold through the same actions.
+def _step_side_by_side(cfg, seed, action_lists, setting, values):
+    """Step one env per value of the module constant `setting`, same actions.
 
     Yields, after every step, one observation per env: the states, samples,
     KPIs and the cell counters.
     """
-    envs = [NetworkEnv(cfg) for _ in thresholds]
+    envs = [NetworkEnv(cfg) for _ in values]
     for env in envs:
         env.reset(seed)
-    shipped = env_module._STRETCH_MIN_VEHICLE_TICKS
+    shipped = getattr(env_module, setting)
     try:
         for actions in action_lists:
             seen = []
-            for env, threshold in zip(envs, thresholds):
-                env_module._STRETCH_MIN_VEHICLE_TICKS = threshold
+            for env, value in zip(envs, values):
+                setattr(env_module, setting, value)
                 states, samples, kpis, _ = env.step(actions)
                 counters = (
                     env.total_generated,
@@ -70,7 +73,7 @@ def _step_side_by_side(cfg, seed, action_lists, thresholds):
                 seen.append((states, samples, kpis, counters))
             yield seen
     finally:
-        env_module._STRETCH_MIN_VEHICLE_TICKS = shipped
+        setattr(env_module, setting, shipped)
 
 
 _STRETCH_CONFIGS = st.builds(
@@ -107,7 +110,7 @@ def test_stretch_drain_matches_scalar_ticks(cfg, data):
     )
     scalar = cfg.ticks_per_period * n + 1
     thresholds = (env_module._STRETCH_MIN_VEHICLE_TICKS, 1, scalar)
-    for seen in _step_side_by_side(cfg, cfg.rng_seed, action_lists, thresholds):
+    for seen in _step_side_by_side(cfg, cfg.rng_seed, action_lists, "_STRETCH_MIN_VEHICLE_TICKS", thresholds):
         ref_states, ref_samples, ref_kpis, ref_counters = seen[-1]
         for states, samples, kpis, counters in seen[:-1]:
             assert np.array_equal(states, ref_states)
@@ -130,8 +133,61 @@ def test_stretches_cover_the_contended_ticks(monkeypatch):
     monkeypatch.setattr(NetworkEnv, "_drain_stretch", counting)
     action_lists = [[MODE_1450] * 5] * cfg.steps_per_episode
     scalar = cfg.ticks_per_period * 5 + 1
-    for seen in _step_side_by_side(cfg, 7, action_lists, (env_module._STRETCH_MIN_VEHICLE_TICKS, scalar)):
+    thresholds = (env_module._STRETCH_MIN_VEHICLE_TICKS, scalar)
+    for seen in _step_side_by_side(cfg, 7, action_lists, "_STRETCH_MIN_VEHICLE_TICKS", thresholds):
         (states, samples, kpis, counters), ref = seen
         assert np.array_equal(states, ref[0])
         assert (samples, kpis, counters) == ref[1:]
     assert sum(covered) >= 0.8 * cfg.steps_per_episode * cfg.ticks_per_period
+
+
+_BLOCK_CONFIGS = st.builds(
+    SimConfig,
+    n_vehicles=st.integers(1, 6),
+    tick_ms=st.sampled_from([1, 2, 5]),
+    tx_power_dbm=st.one_of(st.just(23.0), st.floats(-25.0, 0.0)),
+    shadowing_sigma_db=st.sampled_from([0.0, 4.0]),
+    episode_duration_s=st.integers(1, 25).map(lambda periods: periods / 10),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_BLOCK_CONFIGS, data=st.data())
+def test_channel_blocks_change_no_output(cfg, data):
+    """One period per block, the shipped blocks and one block per episode agree.
+
+    A budget of one value gives one-period blocks; the episode's whole
+    tick x vehicle count gives one block. Episodes of 1-25 periods cut the
+    shipped blocks (3-102 periods) short or leave a clipped last block.
+    """
+    n = cfg.n_vehicles
+    action_lists = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(CANONICAL_MODES), min_size=n, max_size=n),
+            min_size=cfg.steps_per_episode,
+            max_size=cfg.steps_per_episode,
+        )
+    )
+    whole = cfg.steps_per_episode * cfg.ticks_per_period * n
+    budgets = (1, env_module._CHANNEL_BLOCK_VALUES, whole)
+    for seen in _step_side_by_side(cfg, cfg.rng_seed, action_lists, "_CHANNEL_BLOCK_VALUES", budgets):
+        ref_states, ref_samples, ref_kpis, ref_counters = seen[0]
+        for states, samples, kpis, counters in seen[1:]:
+            assert np.array_equal(states, ref_states)
+            assert samples == ref_samples
+            assert kpis == ref_kpis
+            assert counters == ref_counters
+
+
+def test_channel_buffers_do_not_grow_with_episode_length():
+    """A paper-length episode holds the same channel arrays as a quick one."""
+    for n in (1, 5):
+        sizes = []
+        for profile in ("quick", "paper"):
+            env = NetworkEnv(replace(default_config(profile).sim, n_vehicles=n))
+            env.reset(3)
+            env.step([MODE_1450] * n)
+            sizes.append((env._eff.nbytes, len(env._mean_sinr), len(env._mean_mcs)))
+        periods = env_module._CHANNEL_BLOCK_VALUES // (env.config.ticks_per_period * n)
+        assert sizes[0] == sizes[1] == (periods * env.config.ticks_per_period * n * 8, periods, periods)
