@@ -19,7 +19,7 @@ for mode in CANONICAL_MODES:
     print("period  mean_delay_ms  prr    backlog_packets  mean_sinr_db")
     done, period = False, 0
     while not done:
-        _, _, kpis, done = env.step([mode] * 5)
+        _, kpis, done = env.step([mode] * 5)
         delay = np.mean([k.delay_mean for k in kpis])
         prr = np.mean([k.prr for k in kpis])
         sinr = np.mean([k.sinr_db for k in kpis])

@@ -20,9 +20,11 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
+from .atomic import atomic_open
+from .dqn import DqnAgent
 from .errors import CheckpointError, ConfigError
 from .harness import emit_figures_csv, read_records_csv, run_offline_training, run_online_training, run_test
-from .policies import ConstantPolicy, DqlGreedyPolicy, load_checked_agent
+from .policies import ConstantPolicy, DqlGreedyPolicy
 from .qoe import chamfer_sym, chamfer_sym_accelerated, load_point_cloud
 
 
@@ -56,13 +58,14 @@ def _build_config(args, phase: str) -> cfgmod.ExperimentConfig:
 
 def _write_resolved(config, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.txt").write_text(cfgmod.serialize(config))
+    with atomic_open(out / "resolved_config.txt") as fh:
+        fh.write(cfgmod.serialize(config))
 
 
 def _cmd_train_offline(args) -> int:
     config = _build_config(args, "offline")
     _write_resolved(config, args.out)
-    agent = load_checked_agent(args.checkpoint, config.agent) if args.checkpoint else None
+    agent = DqnAgent.load(args.checkpoint, config.agent) if args.checkpoint else None
     run_offline_training(config, args.out, agent)
     print(f"offline training done: {config.resolved_run().offline_episodes} episodes -> {args.out}")
     return 0
@@ -71,7 +74,7 @@ def _cmd_train_offline(args) -> int:
 def _cmd_train_online(args) -> int:
     config = _build_config(args, "online")
     _write_resolved(config, args.out)
-    agent = load_checked_agent(args.checkpoint, config.agent) if args.checkpoint else None
+    agent = DqnAgent.load(args.checkpoint, config.agent) if args.checkpoint else None
     run_online_training(config, args.out, agent)
     print(f"online training done: {config.resolved_run().online_episodes} episodes -> {args.out}")
     return 0
@@ -84,7 +87,7 @@ def _cmd_test(args) -> int:
         if not args.checkpoint:
             raise ConfigError("--policy dql requires --checkpoint")
         # run_test checksums the agent's weights to prove the test never moved them
-        agent = load_checked_agent(args.checkpoint, config.agent)
+        agent = DqnAgent.load(args.checkpoint, config.agent)
         policy = DqlGreedyPolicy(agent.online)
     elif args.policy.startswith("constant:"):
         policy = ConstantPolicy(int(args.policy.split(":", 1)[1]))

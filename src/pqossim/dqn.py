@@ -11,12 +11,12 @@ involved, which keeps runs bit-reproducible across machines.
 from __future__ import annotations
 
 import math
-import os
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import CheckpointError
 from .modes import AGENT_ACTION_IDS
 
@@ -58,6 +58,11 @@ class AgentConfig:
             raise ValueError("batch_size must be >= 1")
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be >= 1")
+        if self.batch_size > self.replay_capacity:
+            # the buffer never holds a full batch, so no gradient step would run
+            raise ValueError(
+                f"batch_size ({self.batch_size}) must be <= replay_capacity ({self.replay_capacity})"
+            )
         if self.target_sync_period < 1:
             raise ValueError("target_sync_period must be >= 1")
         for name in ("eps_start", "eps_end"):
@@ -360,53 +365,38 @@ class DqnAgent:
             "action_mode_ids": np.asarray(action_mode_ids, dtype=np.int64),
         }
         data.update(self._checkpoint_arrays())
-        tmp = f"{path}.tmp"
-        try:
-            # a file handle, since np.savez appends ".npz" to a bare path
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **data)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        # a file handle, since np.savez appends ".npz" to a bare path
+        with atomic_open(path, "wb") as fh:
+            np.savez(fh, **data)
 
     @classmethod
     def load(cls, path, config: AgentConfig) -> "DqnAgent":
+        """Read a checkpoint written by `save`; a torn file, a malformed field, another
+        format or shape, or an action mapping other than AGENT_ACTION_IDS is a CheckpointError."""
         try:
-            with np.load(path, allow_pickle=False) as data:
-                return cls._from_npz(dict(data), config, path)
+            with np.load(path, allow_pickle=False) as npz:
+                data = dict(npz)
         except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
-
-    @classmethod
-    def _from_npz(cls, data: dict, config: AgentConfig, path) -> "DqnAgent":
         try:
             version = int(data["format_version"])
             if version != CHECKPOINT_FORMAT_VERSION:
-                raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+                raise ValueError(f"unsupported checkpoint version {version}")
+            ids = tuple(int(i) for i in data["action_mode_ids"])
+            if ids != AGENT_ACTION_IDS:
+                raise ValueError(f"checkpoint action mapping {ids} != expected {AGENT_ACTION_IDS}")
             sizes = tuple(int(s) for s in data["layer_sizes"])
             agent = cls(config, layer_sizes=sizes)
             agent.step_count = int(data["step_count"])
             # write into the live views, so weights, biases and moments stay
             # windows on their flat vectors
             for key, view in agent._checkpoint_arrays().items():
-                np.copyto(view, _checked(data[key], view.shape, path))
+                arr = np.asarray(data[key], dtype=np.float64)
+                if arr.shape != view.shape:
+                    raise ValueError(f"{key} has shape {arr.shape}, expected {view.shape}")
+                np.copyto(view, arr)
             return agent
         except KeyError as exc:
             raise CheckpointError(f"{path}: checkpoint missing field {exc}") from exc
-
-    @staticmethod
-    def checkpoint_action_ids(path) -> tuple[int, ...]:
-        """Action-index to mode-id mapping recorded in a checkpoint."""
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                return tuple(int(i) for i in data["action_mode_ids"])
-        except (OSError, ValueError, KeyError, EOFError, NotImplementedError, zipfile.BadZipFile) as exc:
-            raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
-
-
-def _checked(arr: np.ndarray, shape, path) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.shape != tuple(shape):
-        raise CheckpointError(f"{path}: checkpoint array has shape {arr.shape}, expected {shape}")
-    return arr
+        except (TypeError, ValueError) as exc:  # a failed check above, or a malformed field
+            raise CheckpointError(f"{path}: {exc}") from exc

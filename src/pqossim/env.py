@@ -17,7 +17,7 @@ protocol-accurate:
   use; packets exceeding a residency bound are dropped;
 * reporting: per control period the simulator aggregates the KPIs the
   agent observes (MCS, symbols, SINR, delay statistics, PRR) and
-  normalizes them into an 8-entry state vector.
+  normalizes the fleet's KPIs into one 8-feature state per vehicle.
 
 Everything is driven by seeded generator streams: identical (config,
 seed, action sequence) reproduces identical KPI streams bit for bit.
@@ -29,7 +29,7 @@ import bisect
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ import numpy as np
 from .errors import ConfigError
 from .link import McsTable, load_mcs_table
 from .modes import ApplicationMode, mode_from_id
-from .reward import QosSample
 
 # Resource elements carried by one full-band OFDM symbol, per MHz of
 # bandwidth (133 resource blocks x 12 subcarriers at 50 MHz).
@@ -198,7 +197,8 @@ class StepKpis(NamedTuple):
     period generated them; when nothing was delivered they saturate at the
     queue residency bound (std 0). `packets_delivered` and `prr` instead
     follow the period's own cohort: packets generated in the period that
-    were also delivered before it ended.
+    were also delivered before it ended. The first eight fields are the
+    state features, in the state's order.
     """
 
     mcs_index: int
@@ -213,33 +213,35 @@ class StepKpis(NamedTuple):
     packets_delivered: int
 
 
-def state_vector(kpis: StepKpis, config: SimConfig, mcs_index_max: int) -> np.ndarray:
-    """Min-max normalize KPIs into the fixed 8-feature agent state.
+def state_vector(kpis: Sequence[StepKpis], config: SimConfig, mcs_index_max: int) -> np.ndarray:
+    """Min-max normalize a fleet's KPIs into its (n, 8) agent states.
 
     Order: [mcs, symbols, sinr, delay_mean, delay_max, delay_min,
-    delay_std, prr]; every entry clamped to [0, 1]. The MCS feature is
-    scaled by the table's top index (`McsTable.index_max`), so it reaches
-    1.0 exactly there whatever the table's length; a one-row table has
-    only index 0 and keeps the feature at 0. The delay features are scaled
-    by `queue_drop_ms`, where delays saturate: a period that delivers
-    nothing reads 1.0 on delay mean, max and min.
+    delay_std, prr], the first eight `StepKpis` fields; every entry clamped
+    to [0, 1]. The MCS feature is scaled by the table's top index
+    (`McsTable.index_max`), so it reaches 1.0 exactly there whatever the
+    table's length; a one-row table has only index 0 and keeps the feature
+    at 0. Symbols are scaled by the period's budget and SINR over
+    [sinr_min_db, sinr_max_db]. The delay features are scaled by
+    `queue_drop_ms`, where delays saturate: a period that delivers nothing
+    reads 1.0 on delay mean, max and min.
     """
+    top = max(mcs_index_max, 1)
     budget = config.symbol_budget_per_period
-    sinr_span = config.sinr_max_db - config.sinr_min_db
-    raw = np.array(
+    lo = config.sinr_min_db
+    span = config.sinr_max_db - lo
+    drop = config.queue_drop_ms
+    # scalar divisions, then one array and one clamp for the fleet: at one
+    # vehicle this is cheaper than dividing the array by a row of scales
+    states = np.array(
         [
-            kpis.mcs_index / max(mcs_index_max, 1),
-            kpis.ofdm_symbols_used / budget,
-            (kpis.sinr_db - config.sinr_min_db) / sinr_span,
-            kpis.delay_mean / config.queue_drop_ms,
-            kpis.delay_max / config.queue_drop_ms,
-            kpis.delay_min / config.queue_drop_ms,
-            kpis.delay_std / config.queue_drop_ms,
-            kpis.prr,
+            (mcs / top, sym / budget, (sinr - lo) / span,
+             mean / drop, high / drop, low / drop, std / drop, prr)
+            for mcs, sym, sinr, mean, high, low, std, prr, *_ in kpis
         ],
         dtype=np.float64,
     )
-    return np.clip(raw, 0.0, 1.0)
+    return states.clip(0.0, 1.0, out=states)
 
 
 # A queued burst is the packets of one frame sharing an arrival time, kept
@@ -586,12 +588,13 @@ class NetworkEnv:
 
     # -- the control-period step ---------------------------------------
 
-    def step(self, actions: Sequence) -> tuple[np.ndarray, list[QosSample], list[StepKpis], bool]:
+    def step(self, actions: Sequence) -> tuple[np.ndarray, list[StepKpis], bool]:
         """Advance one control period under the given per-vehicle modes.
 
         `actions` holds one ApplicationMode (or canonical mode id) per
-        vehicle. Returns (states, qos_samples, kpis, done) where states is
-        the (n_vehicles, 8) array of normalized features.
+        vehicle. Returns (states, kpis, done) where states is the
+        (n_vehicles, 8) array of normalized features and kpis one
+        `StepKpis` per vehicle.
         """
         if not self._ready:
             raise RuntimeError("call reset() before step()")
@@ -765,10 +768,7 @@ class NetworkEnv:
         # -- aggregation ------------------------------------------------
         mean_sinr = self._mean_sinr[period - self._block_start]
         mean_mcs = self._mean_mcs[period - self._block_start]
-        mcs_index_max = self.mcs_table.index_max
-        states = np.empty((n, _STATE_SIZE), dtype=np.float64)
-        kpis_out: list[StepKpis] = []
-        samples: list[QosSample] = []
+        kpis: list[StepKpis] = []
         for v in range(n):
             runs = delay_runs[v]
             if runs:
@@ -790,22 +790,11 @@ class NetworkEnv:
                 d_mean = d_max = d_min = cfg.queue_drop_ms
                 d_std = 0.0
             gen = gen_counts[v]
-            prr = cohort_delivered[v] / gen if gen > 0 else 1.0
-            kpis = StepKpis(
-                mcs_index=int(round(mean_mcs[v])),
-                ofdm_symbols_used=symbols_used[v],
-                sinr_db=mean_sinr[v],
-                delay_mean=d_mean,
-                delay_max=d_max,
-                delay_min=d_min,
-                delay_std=d_std,
-                prr=prr,
-                packets_generated=gen,
-                packets_delivered=cohort_delivered[v],
-            )
-            kpis_out.append(kpis)
-            samples.append(QosSample(prr=prr, mean_delay_ms=d_mean, cd=modes[v].cd_sym))
-            states[v] = state_vector(kpis, cfg, mcs_index_max)
+            got = cohort_delivered[v]
+            kpis.append(StepKpis(
+                round(mean_mcs[v]), symbols_used[v], mean_sinr[v], d_mean, d_max, d_min, d_std,
+                got / gen if gen > 0 else 1.0, gen, got,
+            ))
 
         self._step_count += 1
-        return states, samples, kpis_out, self.done
+        return state_vector(kpis, cfg, self.mcs_table.index_max), kpis, self.done

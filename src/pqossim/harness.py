@@ -21,18 +21,20 @@ from __future__ import annotations
 import csv
 import hashlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
+from .atomic import atomic_open
 from .config import ExperimentConfig
 from .dqn import DqnAgent, ReplayBuffer, Transition
 from .env import NetworkEnv, StepKpis
 from .modes import AGENT_ACTION_MODES, CANONICAL_MODES, ApplicationMode
 from .policies import ConstantPolicy, DqlTrainingPolicy
-from .reward import compute_reward, normalize_reward, qos_met
+from .reward import QosSample, compute_reward, normalize_reward, qos_met
 
 _PHASE_CODES = {"offline": 1, "online": 2, "test": 3}
 
@@ -135,16 +137,17 @@ def _run_episode(env, policy, agent, buffer, rng, episode, episode_seed, epsilon
     done = False
     while not done:
         modes = [policy.decide(states[v], rng) for v in range(n)]
-        next_states, samples, kpis, done = env.step(modes)
-        for v in range(n):
-            reward = compute_reward(samples[v], reward_params)
-            met = qos_met(samples[v], reward_params)
-            rows.append(StepRow(episode, step, v, modes[v].mode_id, *kpis[v], samples[v].cd, reward, int(met)))
-            if buffer is not None and kpis[v].packets_generated > 0:
+        next_states, kpis, done = env.step(modes)
+        for v, (mode, k) in enumerate(zip(modes, kpis)):
+            sample = QosSample(k.prr, k.delay_mean, mode.cd_sym)
+            reward = compute_reward(sample, reward_params)
+            met = qos_met(sample, reward_params)
+            rows.append(StepRow(episode, step, v, mode.mode_id, *k, mode.cd_sym, reward, int(met)))
+            if buffer is not None and k.packets_generated > 0:
                 buffer.push(
                     Transition(
                         state=states[v],
-                        action=_action_index(modes[v]),
+                        action=_action_index(mode),
                         reward=reward,
                         next_state=next_states[v],
                         terminal=done,
@@ -285,13 +288,15 @@ def _summarize(rows: list[StepRow], rewards: np.ndarray, episodes: int, policy_n
 # -- CSV emission --------------------------------------------------------
 
 
-def _writer(handle):
-    return csv.writer(handle, lineterminator="\n")
+@contextmanager
+def _csv_file(path):
+    """A csv writer onto `path`, which appears only once it is written whole."""
+    with atomic_open(path) as fh:
+        yield csv.writer(fh, lineterminator="\n")
 
 
 def write_records_csv(records: list[EpisodeRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
+    with _csv_file(path) as w:
         w.writerow(RECORDS_HEADER)
         for rec in records:
             w.writerows((*row, rec.policy) for row in rec.rows)
@@ -299,8 +304,7 @@ def write_records_csv(records: list[EpisodeRecord], path) -> None:
 
 def write_episodes_csv(records: list[EpisodeRecord], path) -> None:
     mode_ids = [m.mode_id for m in CANONICAL_MODES]
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
+    with _csv_file(path) as w:
         w.writerow(
             ["episode", "epsilon", "mean_reward", "qos_fraction"]
             + [f"count_{m}" for m in mode_ids]
@@ -335,28 +339,24 @@ def emit_figures_csv(records: list[EpisodeRecord], output_dir) -> TestSummary:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "action_probability.csv", "w", newline="") as fh:
-        w = _writer(fh)
+    with _csv_file(out / "action_probability.csv") as w:
         w.writerow(["episode"] + [f"p_{m}" for m in mode_ids])
         for rec in records:
             counts = rec.action_counts
             w.writerow([rec.episode] + [counts[m] / len(rec.rows) for m in mode_ids])
 
-    with open(out / "cd_distribution.csv", "w", newline="") as fh:
-        w = _writer(fh)
+    with _csv_file(out / "cd_distribution.csv") as w:
         w.writerow(["cd", "count", "fraction"])
         values = Counter(r.cd for r in rows)
         w.writerows([cd, values[cd], values[cd] / total] for cd in sorted(values))
 
-    with open(out / "qos_distribution.csv", "w", newline="") as fh:
-        w = _writer(fh)
+    with _csv_file(out / "qos_distribution.csv") as w:
         w.writerow(["qos_met", "count", "fraction"])
         met = sum(r.qos_met for r in rows)
         w.writerow([0, total - met, (total - met) / total])
         w.writerow([1, met, met / total])
 
-    with open(out / "delay_boxplot.csv", "w", newline="") as fh:
-        w = _writer(fh)
+    with _csv_file(out / "delay_boxplot.csv") as w:
         w.writerow(["policy", "median", "p25", "p75", "whisker_low", "whisker_high"])
         w.writerow(
             [
@@ -369,8 +369,7 @@ def emit_figures_csv(records: list[EpisodeRecord], output_dir) -> TestSummary:
             ]
         )
 
-    with open(out / "reward_distribution.csv", "w", newline="") as fh:
-        w = _writer(fh)
+    with _csv_file(out / "reward_distribution.csv") as w:
         w.writerow(["percentile", "normalized_reward"])
         w.writerows(zip(range(101), np.percentile(rewards, range(101)).tolist()))
     return summary

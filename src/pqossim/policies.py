@@ -3,25 +3,17 @@
 All policies share one call shape: decide(state, rng) -> ApplicationMode.
 Constant policies ignore the state entirely; the DQL policies wrap a
 q-network with epsilon-greedy selection (epsilon 0 when frozen for tests).
-The action-index to mode-id mapping is fixed and recorded in checkpoints
-so a reordered build cannot silently misread saved weights.
+The action-index to mode-id mapping is fixed and recorded in checkpoints;
+`DqnAgent.load` refuses one saved with another mapping, so a reordered
+build cannot silently misread saved weights.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dqn import AgentConfig, DqnAgent, QNetwork, select_action
-from .errors import CheckpointError
-from .modes import AGENT_ACTION_IDS, AGENT_ACTION_MODES, ApplicationMode, mode_from_id
-
-
-def load_checked_agent(path, config: AgentConfig | None = None) -> DqnAgent:
-    """Load a checkpoint, refusing one saved with another action mapping."""
-    ids = DqnAgent.checkpoint_action_ids(path)
-    if ids != AGENT_ACTION_IDS:
-        raise CheckpointError(f"{path}: checkpoint action mapping {ids} != expected {AGENT_ACTION_IDS}")
-    return DqnAgent.load(path, config if config is not None else AgentConfig())
+from .dqn import DqnAgent, QNetwork, select_action
+from .modes import AGENT_ACTION_MODES, ApplicationMode, mode_from_id
 
 
 class ConstantPolicy:

@@ -53,18 +53,14 @@ class QosSample:
     cd: float
 
 
-def _check_sample(sample: QosSample) -> None:
+def qos_met(sample: QosSample, params: RewardParams) -> bool:
+    """True iff mean delay is strictly below the bound and PRR is exactly 1."""
     if not 0.0 <= sample.prr <= 1.0:
         raise ValueError(f"prr must be in [0, 1], got {sample.prr}")
     if sample.mean_delay_ms < 0:
         raise ValueError(f"mean_delay_ms must be >= 0, got {sample.mean_delay_ms}")
     if sample.cd < 0:
         raise ValueError(f"cd must be >= 0, got {sample.cd}")
-
-
-def qos_met(sample: QosSample, params: RewardParams) -> bool:
-    """True iff mean delay is strictly below the bound and PRR is exactly 1."""
-    _check_sample(sample)
     return sample.mean_delay_ms < params.delta_m_ms and sample.prr == 1.0
 
 
@@ -78,12 +74,12 @@ def compute_reward(sample: QosSample, params: RewardParams) -> float:
     against the reward bounds); violating that is a configuration error,
     not a zero-reward period.
     """
-    _check_sample(sample)
+    met = qos_met(sample, params)  # validates the sample first
     if sample.cd > params.cd_m:
         raise ConfigError(
             f"mode chamfer distance {sample.cd} exceeds tolerated maximum {params.cd_m}"
         )
-    if not qos_met(sample, params):
+    if not met:
         return 0.0
     delay_term = (params.delta_m_ms - sample.mean_delay_ms) / params.delta_m_ms
     qoe_term = (params.cd_m - sample.cd) / params.cd_m

@@ -209,6 +209,21 @@ def test_cli_rejects_bandwidth_without_resource_elements(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_cli_rejects_a_batch_larger_than_the_replay_ring(tmp_path, capsys):
+    cfg = tmp_path / "agent.cfg"
+    cfg.write_text("agent.batch_size = 20\nagent.replay_capacity = 10\n")
+    capsys.readouterr()
+    code = main(
+        ["train-offline", "--config", str(cfg), "--profile", "quick", "--episodes", "1",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: agent.batch_size (20) must be <= replay_capacity (10)"), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "checkpoint.npz").exists()
+
+
 def test_cli_rejects_truncated_checkpoint(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     out_off = tmp_path / "off"

@@ -255,6 +255,13 @@ def test_batch_size_enforced():
         agent.train_batch(random_batch(rng, size=3))
 
 
+def test_batch_larger_than_the_replay_ring_rejected():
+    # the ring would never hold a full batch, so training would never step
+    with pytest.raises(ValueError, match="batch_size"):
+        AgentConfig(batch_size=20, replay_capacity=10)
+    AgentConfig(batch_size=10, replay_capacity=10)  # one full ring is one batch
+
+
 def test_target_network_staleness_and_sync():
     agent = agent_with(target_sync_period=5, learning_rate=1e-2)
     rng = np.random.default_rng(10)
@@ -362,7 +369,8 @@ def test_checkpoint_records_action_mapping(tmp_path):
     agent = agent_with()
     path = tmp_path / "ckpt.npz"
     agent.save(path)
-    assert DqnAgent.checkpoint_action_ids(path) == (1450, 1451, 1452)
+    with np.load(path) as data:
+        assert data["action_mode_ids"].tolist() == [1450, 1451, 1452]
 
 
 def _shares_flat(net: QNetwork) -> bool:
@@ -402,6 +410,28 @@ def test_wrong_shape_checkpoint_array_rejected(tmp_path):
         DqnAgent.load(bad, agent.config)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("layer_sizes", np.array(5)),  # 0-d, not a size list
+        ("layer_sizes", np.array([8, -1, 3])),
+        ("action_mode_ids", np.array(1450)),
+        ("step_count", np.array([1, 2])),
+    ],
+)
+def test_malformed_checkpoint_field_rejected(tmp_path, field, value):
+    path = tmp_path / "ckpt.npz"
+    agent_with().save(path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays[field] = value
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(CheckpointError) as caught:
+        DqnAgent.load(path, AgentConfig())
+    assert str(caught.value).startswith(f"{path}: ")
+
+
 def test_corrupt_checkpoint_rejected(tmp_path):
     path = tmp_path / "bad.npz"
     agent_with().save(path)
@@ -417,8 +447,6 @@ def test_corrupt_checkpoint_rejected(tmp_path):
         path.write_bytes(content)
         with pytest.raises(CheckpointError):
             DqnAgent.load(path, AgentConfig())
-        with pytest.raises(CheckpointError):
-            DqnAgent.checkpoint_action_ids(path)
 
 
 def test_failed_save_leaves_the_earlier_checkpoint_whole(tmp_path, monkeypatch):

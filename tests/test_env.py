@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pqossim.env import NetworkEnv, SimConfig, state_vector
+from pqossim.env import NetworkEnv, SimConfig, StepKpis, state_vector
 from pqossim.errors import ConfigError
 from pqossim.link import McsTable
 from pqossim.modes import MODE_1450, MODE_1451, MODE_1452, MODE_RAW
@@ -33,11 +33,10 @@ def test_reset_is_bit_exact_deterministic():
     s1, s2 = env1.reset(99), env2.reset(99)
     assert np.array_equal(s1, s2)
     for _ in range(5):
-        st1, sa1, k1, d1 = env1.step([MODE_1450] * 3)
-        st2, sa2, k2, d2 = env2.step([MODE_1450] * 3)
+        st1, k1, d1 = env1.step([MODE_1450] * 3)
+        st2, k2, d2 = env2.step([MODE_1450] * 3)
         assert np.array_equal(st1, st2)
         assert k1 == k2
-        assert sa1 == sa2
         assert d1 == d2
 
 
@@ -45,9 +44,9 @@ def test_different_seeds_differ():
     cfg = quick_cfg()
     env = NetworkEnv(cfg)
     env.reset(1)
-    a = env.step([MODE_1450])[2][0]
+    a = env.step([MODE_1450])[1][0]
     env.reset(2)
-    b = env.step([MODE_1450])[2][0]
+    b = env.step([MODE_1450])[1][0]
     assert a.sinr_db != b.sinr_db
 
 
@@ -70,7 +69,7 @@ def test_one_frame_per_period_at_defaults():
     env.reset(3)
     counts = []
     for _ in range(50):
-        _, _, kpis, _ = env.step([MODE_1450])
+        _, kpis, _ = env.step([MODE_1450])
         counts.append(kpis[0].packets_generated)
     assert all(90 <= c <= 180 for c in counts), counts
     mean_kb = np.mean(counts) * env.config.packet_size_bytes / 1000.0
@@ -80,7 +79,7 @@ def test_one_frame_per_period_at_defaults():
 def test_two_frames_per_period_at_20hz():
     env = NetworkEnv(quick_cfg(frame_rate_hz=20.0))
     env.reset(4)
-    _, _, kpis, _ = env.step([MODE_1452])
+    _, kpis, _ = env.step([MODE_1452])
     # two 17 KB frames of ~12 packets each
     assert 18 <= kpis[0].packets_generated <= 32
 
@@ -89,7 +88,7 @@ def test_light_load_reaches_prr_one():
     env = NetworkEnv(quick_cfg())
     env.reset(5)
     for i in range(10):
-        _, _, kpis, _ = env.step([MODE_1452])
+        _, kpis, _ = env.step([MODE_1452])
         if i >= 2:
             assert kpis[0].prr == 1.0
             assert kpis[0].packets_delivered == kpis[0].packets_generated
@@ -103,7 +102,7 @@ def test_raw_mode_overloads_any_configuration():
     delays = []
     backlog = []
     for _ in range(4):
-        _, _, kpis, _ = env.step([MODE_RAW])
+        _, kpis, _ = env.step([MODE_RAW])
         delays.append(kpis[0].delay_mean)
         backlog.append(env.queued_packets())
     assert all(d2 > d1 for d1, d2 in zip(delays, delays[1:])), delays
@@ -118,7 +117,7 @@ def test_packet_conservation_every_period():
     done = False
     while not done:
         actions = [modes[rng.integers(4)] for _ in range(3)]
-        _, _, _, done = env.step(actions)
+        _, _, done = env.step(actions)
         assert (
             env.total_generated
             == env.total_delivered + env.total_dropped + env.queued_packets()
@@ -131,7 +130,7 @@ def test_prr_bounds():
     env.reset(8)
     done = False
     while not done:
-        _, _, kpis, done = env.step([MODE_RAW, MODE_1451])
+        _, kpis, done = env.step([MODE_RAW, MODE_1451])
         for k in kpis:
             assert 0.0 <= k.prr <= 1.0
             if k.packets_generated > 0:
@@ -143,7 +142,7 @@ def test_work_conservation_under_congestion():
     env.reset(9)
     done = False
     while not done:
-        _, _, _, done = env.step([MODE_RAW, MODE_1450, MODE_1451, MODE_1452])
+        _, _, done = env.step([MODE_RAW, MODE_1450, MODE_1451, MODE_1452])
     assert env.scheduler_idle_violations == 0
 
 
@@ -154,7 +153,7 @@ def test_outage_starves_queue_and_saturates_delay_features():
     cfg = quick_cfg()
     env = NetworkEnv(cfg, mcs_table=table)
     env.reset(10)
-    states, samples, kpis, _ = env.step([MODE_1452])
+    states, kpis, _ = env.step([MODE_1452])
     k = kpis[0]
     assert k.packets_delivered == 0
     assert k.prr == 0.0
@@ -174,7 +173,7 @@ def test_delay_features_saturate_at_the_drop_bound():
     table = McsTable(np.array([[1000.0, 1.0]]))
     env = NetworkEnv(quick_cfg(queue_drop_ms=100.0), mcs_table=table)
     env.reset(10)
-    states, _, kpis, _ = env.step([MODE_1452])
+    states, kpis, _ = env.step([MODE_1452])
     assert kpis[0].packets_delivered == 0
     assert list(states[0, 3:7]) == [1.0, 1.0, 1.0, 0.0]  # mean, max, min, std
 
@@ -184,20 +183,54 @@ def test_state_features_always_in_unit_interval():
     env.reset(12)
     done = False
     while not done:
-        states, _, _, done = env.step([MODE_RAW, MODE_1452])
+        states, _, done = env.step([MODE_RAW, MODE_1452])
         assert np.all((states >= 0.0) & (states <= 1.0))
 
 
 def test_state_vector_layout():
-    cfg = quick_cfg()
+    # every feature of every vehicle against the scale the state_vector
+    # docstring gives it, under a SINR range other than the default
+    cfg = quick_cfg(n_vehicles=3, sinr_min_db=0.0, sinr_max_db=30.0, queue_drop_ms=150.0)
     env = NetworkEnv(cfg)
     env.reset(13)
-    states, _, kpis, _ = env.step([MODE_1452])
-    k = kpis[0]
-    expected = state_vector(k, cfg, env.mcs_table.index_max)
-    assert np.array_equal(states[0], expected)
-    assert states.shape[1] == 8
-    assert expected[7] == k.prr  # prr is native [0,1]
+    top = env.mcs_table.index_max
+    budget = cfg.symbol_budget_per_period
+    span = cfg.sinr_max_db - cfg.sinr_min_db
+    drop = cfg.queue_drop_ms
+    clipped = 0
+    for _ in range(10):
+        states, kpis, _ = env.step([MODE_RAW, MODE_1451, MODE_1452])
+        assert states.shape == (3, 8)
+        for v, k in enumerate(kpis):
+            raw = [
+                k.mcs_index / top,
+                k.ofdm_symbols_used / budget,
+                (k.sinr_db - cfg.sinr_min_db) / span,
+                k.delay_mean / drop,
+                k.delay_max / drop,
+                k.delay_min / drop,
+                k.delay_std / drop,
+                k.prr,
+            ]
+            expected = [min(max(x, 0.0), 1.0) for x in raw]
+            assert states[v].tolist() == expected
+            clipped += expected != raw
+        assert np.array_equal(state_vector(kpis, cfg, top), states)
+    assert clipped > 0  # the clamp ran on some feature
+
+
+def test_kpi_fields_lead_with_the_state_features():
+    # state_vector reads the first eight StepKpis fields as the state, in order
+    assert StepKpis._fields[:8] == (
+        "mcs_index",
+        "ofdm_symbols_used",
+        "sinr_db",
+        "delay_mean",
+        "delay_max",
+        "delay_min",
+        "delay_std",
+        "prr",
+    )
 
 
 def test_congestion_monotonic_in_offered_load():
@@ -210,8 +243,8 @@ def test_congestion_monotonic_in_offered_load():
     heavy.reset(14)
     done = False
     while not done:
-        _, _, k_light, done = light.step([MODE_1452, MODE_1452])
-        _, _, k_heavy, _ = heavy.step([MODE_RAW, MODE_RAW])
+        _, k_light, done = light.step([MODE_1452, MODE_1452])
+        _, k_heavy, _ = heavy.step([MODE_RAW, MODE_RAW])
         for kl, kh in zip(k_light, k_heavy):
             assert kh.delay_mean >= kl.delay_mean
 
@@ -221,7 +254,7 @@ def test_delay_ordering_invariant():
     env.reset(15)
     done = False
     while not done:
-        _, _, kpis, done = env.step([MODE_1450, MODE_1451])
+        _, kpis, done = env.step([MODE_1450, MODE_1451])
         for k in kpis:
             assert k.delay_min <= k.delay_mean <= k.delay_max
 
@@ -243,20 +276,9 @@ def test_step_lifecycle_errors():
     env.reset(17)
     done = False
     while not done:
-        _, _, _, done = env.step([MODE_1450])
+        _, _, done = env.step([MODE_1450])
     with pytest.raises(RuntimeError):
         env.step([MODE_1450])
-
-
-def test_qos_sample_carries_mode_cd():
-    env = NetworkEnv(quick_cfg(n_vehicles=3))
-    env.reset(18)
-    _, samples, _, _ = env.step([MODE_1450, MODE_1451, MODE_1452])
-    assert [s.cd for s in samples] == [
-        MODE_1450.cd_sym,
-        MODE_1451.cd_sym,
-        MODE_1452.cd_sym,
-    ]
 
 
 @pytest.mark.parametrize(
@@ -301,7 +323,7 @@ def test_mcs_feature_reaches_one_at_the_table_top(rows):
     table = McsTable(np.column_stack([np.linspace(-40.0, -20.0, rows), np.linspace(0.5, 6.0, rows)]))
     env = NetworkEnv(quick_cfg(n_vehicles=2), mcs_table=table)
     env.reset(19)
-    states, _, kpis, _ = env.step([MODE_1452, MODE_1452])
+    states, kpis, _ = env.step([MODE_1452, MODE_1452])
     assert [k.mcs_index for k in kpis] == [rows - 1] * 2
     assert np.all(states[:, 0] == 1.0)
 
@@ -312,7 +334,7 @@ def test_mcs_feature_scales_by_the_table_top_index():
     env.reset(20)
     seen = set()
     while not env.done:
-        states, _, kpis, _ = env.step([MODE_1451] * 3)
+        states, kpis, _ = env.step([MODE_1451] * 3)
         for v, k in enumerate(kpis):
             seen.add(k.mcs_index)
             assert states[v, 0] == k.mcs_index / 19

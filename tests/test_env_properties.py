@@ -34,7 +34,7 @@ def test_cell_invariants_hold_every_step(cfg, data):
     budget = cfg.symbol_budget_per_period
     while not env.done:
         actions = data.draw(st.lists(st.sampled_from(CANONICAL_MODES), min_size=n, max_size=n))
-        states, _, kpis, _ = env.step(actions)
+        states, kpis, _ = env.step(actions)
         assert env.total_generated == env.total_delivered + env.total_dropped + env.queued_packets()
         assert env.scheduler_idle_violations == 0
         assert states.shape == (n, 8)
@@ -50,8 +50,8 @@ def test_cell_invariants_hold_every_step(cfg, data):
 def _step_side_by_side(cfg, seed, action_lists, setting, values):
     """Step one env per value of the module constant `setting`, same actions.
 
-    Yields, after every step, one observation per env: the states, samples,
-    KPIs and the cell counters.
+    Yields, after every step, one observation per env: the states, KPIs and
+    the cell counters.
     """
     envs = [NetworkEnv(cfg) for _ in values]
     for env in envs:
@@ -62,7 +62,7 @@ def _step_side_by_side(cfg, seed, action_lists, setting, values):
             seen = []
             for env, value in zip(envs, values):
                 setattr(env_module, setting, value)
-                states, samples, kpis, _ = env.step(actions)
+                states, kpis, _ = env.step(actions)
                 counters = (
                     env.total_generated,
                     env.total_delivered,
@@ -70,7 +70,7 @@ def _step_side_by_side(cfg, seed, action_lists, setting, values):
                     env.queued_packets(),
                     env.scheduler_idle_violations,
                 )
-                seen.append((states, samples, kpis, counters))
+                seen.append((states, kpis, counters))
             yield seen
     finally:
         setattr(env_module, setting, shipped)
@@ -111,10 +111,9 @@ def test_stretch_drain_matches_scalar_ticks(cfg, data):
     scalar = cfg.ticks_per_period * n + 1
     thresholds = (env_module._STRETCH_MIN_VEHICLE_TICKS, 1, scalar)
     for seen in _step_side_by_side(cfg, cfg.rng_seed, action_lists, "_STRETCH_MIN_VEHICLE_TICKS", thresholds):
-        ref_states, ref_samples, ref_kpis, ref_counters = seen[-1]
-        for states, samples, kpis, counters in seen[:-1]:
+        ref_states, ref_kpis, ref_counters = seen[-1]
+        for states, kpis, counters in seen[:-1]:
             assert np.array_equal(states, ref_states)
-            assert samples == ref_samples
             assert kpis == ref_kpis
             assert counters == ref_counters
 
@@ -135,9 +134,9 @@ def test_stretches_cover_the_contended_ticks(monkeypatch):
     scalar = cfg.ticks_per_period * 5 + 1
     thresholds = (env_module._STRETCH_MIN_VEHICLE_TICKS, scalar)
     for seen in _step_side_by_side(cfg, 7, action_lists, "_STRETCH_MIN_VEHICLE_TICKS", thresholds):
-        (states, samples, kpis, counters), ref = seen
+        (states, kpis, counters), ref = seen
         assert np.array_equal(states, ref[0])
-        assert (samples, kpis, counters) == ref[1:]
+        assert (kpis, counters) == ref[1:]
     assert sum(covered) >= 0.8 * cfg.steps_per_episode * cfg.ticks_per_period
 
 
@@ -172,10 +171,9 @@ def test_channel_blocks_change_no_output(cfg, data):
     whole = cfg.steps_per_episode * cfg.ticks_per_period * n
     budgets = (1, env_module._CHANNEL_BLOCK_VALUES, whole)
     for seen in _step_side_by_side(cfg, cfg.rng_seed, action_lists, "_CHANNEL_BLOCK_VALUES", budgets):
-        ref_states, ref_samples, ref_kpis, ref_counters = seen[0]
-        for states, samples, kpis, counters in seen[1:]:
+        ref_states, ref_kpis, ref_counters = seen[0]
+        for states, kpis, counters in seen[1:]:
             assert np.array_equal(states, ref_states)
-            assert samples == ref_samples
             assert kpis == ref_kpis
             assert counters == ref_counters
 

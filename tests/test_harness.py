@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pqossim.harness import (
     run_test,
     weights_digest,
 )
+from pqossim.modes import mode_from_id
 from pqossim.policies import ConstantPolicy, DqlGreedyPolicy, DqlTrainingPolicy
 from pqossim.reward import RewardParams
 
@@ -112,6 +115,17 @@ def test_online_pure_exploration_is_uniform(tmp_path):
             assert abs(rec.action_counts.get(mode_id, 0) - total / 3) <= 4 * sigma
 
 
+def test_rows_carry_the_chosen_mode_cd(tmp_path):
+    # the reward's sample takes its cd from the mode each row chose
+    cfg = tiny_config(n_vehicles=3, online=2)
+    cfg.agent.eps_start = 1.0
+    cfg.agent.eps_end = 1.0
+    _, records = run_online_training(cfg, tmp_path / "on")
+    rows = [r for rec in records for r in rec.rows]
+    assert {r.action for r in rows} == {1450, 1451, 1452}
+    assert all(r.cd == mode_from_id(r.action).cd_sym for r in rows)
+
+
 def test_test_phase_is_deterministic_and_frozen(tmp_path):
     cfg = tiny_config()
     agent, _ = run_offline_training(cfg, tmp_path / "off")
@@ -200,6 +214,36 @@ def test_records_csv_roundtrip_through_export(tmp_path):
     emit_figures_csv(loaded, tmp_path / "re")
     for name in FIGURE_FILES:
         assert (tmp_path / "re" / name).read_bytes() == (tmp_path / "t" / name).read_bytes()
+
+
+def test_failed_write_leaves_the_earlier_outputs_whole(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    out = tmp_path / "t"
+    run_test(cfg, out, ConstantPolicy(1451))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    real_writer = csv.writer
+
+    class TornWriter:
+        """Writes the header and a few rows, then fails as a full disk would."""
+
+        def __init__(self, handle, **options):
+            self.writer = real_writer(handle, **options)
+
+        def writerow(self, row):
+            self.writer.writerow(row)
+
+        def writerows(self, rows):
+            for i, row in enumerate(rows):
+                if i == 5:
+                    raise OSError("disk full")
+                self.writer.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", TornWriter)
+    with pytest.raises(OSError, match="disk full"):
+        run_test(cfg, out, ConstantPolicy(1452))
+    # records.csv is byte-identical and no temp file is left behind
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -5,7 +5,7 @@ from pqossim.dqn import AgentConfig, DqnAgent, QNetwork
 from pqossim.env import SimConfig
 from pqossim.errors import CheckpointError
 from pqossim.modes import AGENT_ACTION_IDS, AGENT_ACTION_MODES, MODE_1451, mode_from_id
-from pqossim.policies import ConstantPolicy, DqlGreedyPolicy, DqlTrainingPolicy, load_checked_agent
+from pqossim.policies import ConstantPolicy, DqlGreedyPolicy, DqlTrainingPolicy
 
 
 def bias_net(out_bias):
@@ -78,7 +78,7 @@ def test_greedy_from_checkpoint_roundtrip(tmp_path):
     agent = DqnAgent(AgentConfig(rng_seed=7))
     path = tmp_path / "ckpt.npz"
     agent.save(path)
-    policy = DqlGreedyPolicy(load_checked_agent(path).online)
+    policy = DqlGreedyPolicy(DqnAgent.load(path, AgentConfig()).online)
     state = np.full(8, 0.5)
     expected = AGENT_ACTION_MODES[int(np.argmax(agent.online.forward(state)))]
     assert policy.decide(state, None) is expected
@@ -89,7 +89,7 @@ def test_checkpoint_with_wrong_mapping_rejected(tmp_path):
     path = tmp_path / "ckpt.npz"
     agent.save(path, action_mode_ids=(1450, 1452, 1451))  # reordered
     with pytest.raises(CheckpointError):
-        DqlGreedyPolicy(load_checked_agent(path).online)
+        DqlGreedyPolicy(DqnAgent.load(path, AgentConfig()).online)
 
 
 def test_greedy_policy_requires_three_actions():
