@@ -162,6 +162,14 @@ def load_config(path, profile: str = "paper") -> ExperimentConfig:
 
 
 def validate(config: ExperimentConfig) -> None:
+    # seeds feed np.random.SeedSequence, which takes no negative entropy
+    for section in ("sim", "agent"):
+        seed = getattr(config, section).rng_seed
+        if seed < 0:
+            raise ConfigError(f"{section}.rng_seed must be >= 0, got {seed}")
+    for key, episodes in dataclasses.asdict(config.run).items():
+        if episodes is not None and episodes < 1:
+            raise ConfigError(f"run.{key} must be >= 1, got {episodes}")
     config.sim.validate()
     try:
         config.agent.validate()

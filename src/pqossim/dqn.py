@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +74,7 @@ class AgentConfig:
             raise ValueError("eps_decay_episodes must be >= 1")
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One replay record (s, a, r, s', terminal), or a batch of them.
 
     `ReplayBuffer.sample` and `DqnAgent.train_batch` use the batched form:
@@ -108,15 +108,23 @@ class QNetwork:
                 size = math.prod(shape)
                 self._spans.append((at, at + size, shape))
                 at += size
-        self.flat = np.zeros(at, dtype=np.float64)
-        params = self.views(self.flat)
-        self.weights: list[np.ndarray] = params[0::2]
-        self.biases: list[np.ndarray] = params[1::2]
+        self._bind(np.zeros(at, dtype=np.float64))
         for w in self.weights:
             # uniform Glorot bounds keep initial q-values near zero
             fan_in, fan_out = w.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    def _bind(self, flat: np.ndarray) -> "QNetwork":
+        """Make `flat`, a parameter-sized float64 vector, hold the parameters from now on.
+
+        Nothing is copied: the network takes the values `flat` holds.
+        """
+        params = self.views(flat)
+        self.flat = flat
+        self.weights: list[np.ndarray] = params[0::2]
+        self.biases: list[np.ndarray] = params[1::2]
+        return self
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Split a parameter-sized vector into views shaped w0, b0, w1, b1, ..."""
@@ -188,9 +196,38 @@ def double_q_targets(online: QNetwork, target: QNetwork, batch: Transition, disc
 
     Terminal transitions keep their bare reward.
     """
-    a_star = np.argmax(online.forward_batch(batch.next_state), axis=1)
-    boot = target.forward_batch(batch.next_state)[np.arange(len(a_star)), a_star]
-    return batch.reward + np.where(batch.terminal, 0.0, discount * boot)
+    q_online = online.forward_batch(batch.next_state)
+    q_target = target.forward_batch(batch.next_state)
+    return _bootstrap(q_online, q_target, batch.reward, batch.terminal, discount)
+
+
+def _bootstrap(q_online, q_target, reward, terminal, discount: float) -> np.ndarray:
+    """The double-Q rule on next-state q-values of both networks, (B, n_actions) each."""
+    a_star = q_online.argmax(axis=1)
+    boot = q_target[np.arange(len(a_star)), a_star]
+    return reward + np.where(terminal, 0.0, discount * boot)
+
+
+def _layers(weights, biases, outs, pre) -> None:
+    """Forward pass that keeps every layer's output and pre-activation.
+
+    outs[0] holds the input; the pass writes the pre-activation of layer i
+    into pre[i] and its output (ReLU but for the linear head) into
+    outs[i + 1], which is pre[i] itself for the head. Weights and biases
+    with leading stack axes run every stacked network on every stacked
+    input in one matmul per layer; each slice equals the 2-D pass.
+    """
+    for i, (w, b, z) in enumerate(zip(weights, biases, pre)):
+        np.matmul(outs[i], w, out=z)
+        z += b
+        if outs[i + 1] is not z:
+            np.maximum(z, 0.0, out=outs[i + 1])
+
+
+def _workspace(x: np.ndarray, lead: tuple, layer_sizes) -> tuple[list, list]:
+    """(outs, pre) buffers for `_layers` on input `x`, with leading axes `lead`."""
+    pre = [np.empty((*lead, size)) for size in layer_sizes[1:]]
+    return [x, *(np.empty_like(z) for z in pre[:-1]), pre[-1]], pre
 
 
 class ReplayBuffer:
@@ -238,11 +275,12 @@ class ReplayBuffer:
         if self._fill < batch_size:
             return None
         idx = rng.choice(self._fill, size=batch_size, replace=False)
+        # `take` gathers the state rows in a third of fancy indexing's time
         return Transition(
-            self._states[idx],
+            self._states.take(idx, axis=0),
             self._actions[idx],
             self._rewards[idx],
-            self._next_states[idx],
+            self._next_states.take(idx, axis=0),
             self._terminal[idx],
         )
 
@@ -253,12 +291,31 @@ class DqnAgent:
     def __init__(self, config: AgentConfig, layer_sizes=DEFAULT_LAYER_SIZES):
         self.config = config
         init_rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
-        self.online = QNetwork(layer_sizes, init_rng)
-        self.target = self.online.clone()
+        online = QNetwork(layer_sizes, init_rng)
+        # row 0 is the online network, row 1 the target: a sync is one row copy
+        self._params = np.stack([online.flat, online.flat])
+        self.online = online._bind(self._params[0])
+        self.target = online.clone()._bind(self._params[1])
         self.step_count = 0
-        # Adam moments, laid out like the online network's flat vector
-        self._adam_m = np.zeros_like(self.online.flat)
-        self._adam_v = np.zeros_like(self.online.flat)
+        # Adam moments laid out like `online.flat`: row 0 is m, row 1 is v
+        self._moments = np.zeros_like(self._params)
+        self._adam_m, self._adam_v = self._moments
+        # train_batch workspaces: every layer's stacked pass on one input
+        # (1, 2, B, n_inputs) holding (next_state, state), the gradient
+        # (row 0) and its square (row 1), and the AdamW scratch. Stacked
+        # temporaries outgrow numpy's small-block cache; allocated per step
+        # they cost more than the arithmetic in a training loop.
+        x = np.empty((1, 2, config.batch_size, online.n_inputs))
+        self._outs, self._pre = _workspace(x, (2, 2, config.batch_size), online.layer_sizes)
+        self._grad = np.empty_like(self._params)
+        self._grads = online.views(self._grad[0])
+        self._scratch = np.empty_like(self._params)
+        self._beta = np.array([[ADAM_BETA1], [ADAM_BETA2]])
+        self._one_minus_beta = np.array([[1.0 - ADAM_BETA1], [1.0 - ADAM_BETA2]])
+        self._corr = np.empty((2, 1))
+        # both networks' layers as (2, 1, fan_in, fan_out) weights and (2, 1, 1, fan_out) biases
+        stacked = [self._params[:, start:stop].reshape(2, 1, -1, shape[-1]) for start, stop, shape in online._spans]
+        self._stacked_w, self._stacked_b = stacked[0::2], stacked[1::2]
 
     # -- gradients -------------------------------------------------------
 
@@ -274,65 +331,88 @@ class DqnAgent:
     def _loss_and_grad_vector(self, states, actions, targets):
         """MSE loss and its gradient as one vector laid out like `online.flat`."""
         net = self.online
-        batch = states.shape[0]
-        acts = [states]
-        pre = []
-        h = states
-        last = len(net.weights) - 1
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            z = h @ w
-            z += b
-            pre.append(z)
-            h = z if i == last else np.maximum(z, 0.0)
-            acts.append(h)
-        q = acts[-1]
+        outs, pre = _workspace(states, np.shape(states)[:1], net.layer_sizes)
+        _layers(net.weights, net.biases, outs, pre)
+        grad = np.empty_like(net.flat)
+        loss = self._backprop(outs, pre, (), actions, targets, net.views(grad))
+        return loss, grad
+
+    def _backprop(self, outs, pre, at, actions, targets, grads) -> float:
+        """MSE loss at the taken actions; writes its gradient into `grads`.
+
+        `outs` and `pre` come from `_layers`, and `at` indexes the online
+        network's pass over the batch states in each of them (`()` for a
+        plain 2-D pass). `grads` are the parameter views of a gradient vector.
+        """
+        weights = self.online.weights
+        q = outs[-1][at]
+        batch = q.shape[0]
         rows = np.arange(batch)
         err = q[rows, actions] - targets
         # sum / batch is exactly np.mean
         loss = float((err * err).sum() / batch)
-
-        grad = np.empty_like(net.flat)
-        grads = net.views(grad)
         delta = np.zeros_like(q)
         delta[rows, actions] = 2.0 * err / batch
-        for i in range(last, -1, -1):
-            np.matmul(acts[i].T, delta, out=grads[2 * i])
+        for i in range(len(weights) - 1, -1, -1):
+            np.matmul(outs[i][at].T, delta, out=grads[2 * i])
             delta.sum(axis=0, out=grads[2 * i + 1])
             if i > 0:
-                delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
-        return loss, grad
+                delta = (delta @ weights[i].T) * (pre[i - 1][at] > 0.0)
+        return loss
 
-    def _adam_step(self, grad: np.ndarray) -> None:
-        """One AdamW update of the online network from a flat gradient."""
+    def _adam_step(self) -> None:
+        """One AdamW update of the online network from the gradient in `_grad[0]`.
+
+        m and v are updated together as the rows of `_moments`, each with
+        its own beta; every element sees the same operations as in
+        `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g`,
+        `p -= lr * ((m/c1) / (sqrt(v/c2) + eps) + wd*p)`.
+        """
         cfg = self.config
         self.step_count += 1
         t = self.step_count
-        corr1 = 1.0 - ADAM_BETA1**t
-        corr2 = 1.0 - ADAM_BETA2**t
-        p, m, v = self.online.flat, self._adam_m, self._adam_v
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (grad * grad)
-        update = (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+        g, s, c = self._grad, self._scratch, self._corr
+        np.multiply(g[0], g[0], out=g[1])
+        self._moments *= self._beta
+        np.multiply(self._one_minus_beta, g, out=s)
+        self._moments += s
+        c[0, 0] = 1.0 - ADAM_BETA1**t
+        c[1, 0] = 1.0 - ADAM_BETA2**t
+        np.divide(self._moments, c, out=s)
+        update, denom = s
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update /= denom
         # decoupled weight decay: not part of the moment estimates
-        p -= cfg.learning_rate * (update + cfg.weight_decay * p)
+        p, step = self.online.flat, denom
+        np.multiply(p, cfg.weight_decay, out=step)
+        step += update
+        step *= cfg.learning_rate
+        p -= step
 
     def train_batch(self, batch: Transition) -> float:
         """One gradient step on a batched Transition; returns the pre-update loss.
 
         Targets are double-DQN bootstraps treated as constants. The target
         network is refreshed by full copy every `target_sync_period` steps.
+        One stacked pass per layer runs both networks on the next states
+        and the states; the online net on the states feeds the backprop.
         """
-        size = np.shape(batch.action)
-        if size != (self.config.batch_size,):
-            raise ValueError(f"batch of shape {size} != ({self.config.batch_size},)")
-        targets = double_q_targets(self.online, self.target, batch, self.config.discount)
-        loss, grad = self._loss_and_grad_vector(
-            np.asarray(batch.state, dtype=np.float64), batch.action, targets
-        )
-        self._adam_step(grad)
-        if self.step_count % self.config.target_sync_period == 0:
+        cfg = self.config
+        x = self._outs[0]
+        shapes = (np.shape(batch.action), np.shape(batch.state), np.shape(batch.next_state))
+        if shapes != ((cfg.batch_size,), x.shape[2:], x.shape[2:]):
+            raise ValueError(f"batch of shapes {shapes} != ({cfg.batch_size},), {x.shape[2:]}")
+        x[0, 0] = batch.next_state
+        x[0, 1] = batch.state
+        # axis 0 picks the network (online, target), axis 1 the input (next_state, state)
+        outs, pre = self._outs, self._pre
+        _layers(self._stacked_w, self._stacked_b, outs, pre)
+        q = outs[-1]
+        targets = _bootstrap(q[0, 0], q[1, 0], batch.reward, batch.terminal, cfg.discount)
+        loss = self._backprop(outs, pre, (0, 1), batch.action, targets, self._grads)
+        self._adam_step()
+        if self.step_count % cfg.target_sync_period == 0:
             self.target.copy_from(self.online)
         return loss
 

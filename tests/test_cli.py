@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pqossim.cli import main
 from pqossim.harness import FIGURE_FILES
@@ -278,3 +279,24 @@ def test_cli_rejects_unreadable_and_remapped_checkpoints(tmp_path, capsys):
             assert code == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "command,config_line,key",
+    [
+        (["test", "--policy", "constant:1452", "--seed", "-1"], None, "sim.rng_seed"),
+        (["test", "--policy", "constant:1452", "--episodes", "0"], None, "run.test_episodes"),
+        (["test", "--policy", "constant:1452"], "run.test_episodes = 0", "run.test_episodes"),
+        (["train-offline"], "agent.rng_seed = -2", "agent.rng_seed"),
+    ],
+)
+def test_cli_rejects_bad_seeds_and_run_lengths_before_any_output(tmp_path, capsys, command, config_line, key):
+    args = [*command, "--profile", "quick", "--out", str(tmp_path / "out")]
+    if config_line is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_line + "\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be >= ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "resolved_config.txt").exists()

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pqossim.dqn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AgentConfig,
     DqnAgent,
     QNetwork,
@@ -286,6 +291,77 @@ def test_training_is_bit_exact_deterministic():
     a, b = run(), run()
     for p1, p2 in zip(a.online.parameters(), b.online.parameters()):
         assert np.array_equal(p1, p2)
+
+
+_LAYER_SIZES = st.one_of(
+    st.sampled_from([(8, 12, 6, 2), (8, 3), (8, 12, 6, 3), (8, 16, 16, 8, 3)]),
+    st.lists(st.integers(1, 12), min_size=2, max_size=5).map(tuple),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    layer_sizes=_LAYER_SIZES,
+    batch_size=st.integers(1, 32),
+    sync=st.integers(1, 3),
+    weight_decay=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_train_step_equals_the_per_network_reference(layer_sizes, batch_size, sync, weight_decay, seed):
+    """train_batch against the same step spelled out network by network."""
+    cfg = AgentConfig(
+        learning_rate=1e-2, weight_decay=weight_decay, batch_size=batch_size,
+        replay_capacity=batch_size, target_sync_period=sync, rng_seed=seed % 1000,
+    )
+    agent = DqnAgent(cfg, layer_sizes)
+    ref = DqnAgent(cfg, layer_sizes)
+    m, v = np.zeros_like(ref.online.flat), np.zeros_like(ref.online.flat)
+    rng = np.random.default_rng(seed)
+    n_in, n_act = layer_sizes[0], layer_sizes[-1]
+    for t in range(1, 8):
+        batch = random_batch(rng, size=batch_size, n_in=n_in, n_act=n_act)
+        loss = agent.train_batch(batch)
+
+        targets = double_q_targets(ref.online, ref.target, batch, cfg.discount)
+        ref_loss, grads = ref._loss_and_grads(batch.state, batch.action, targets)
+        g = np.concatenate([grad.ravel() for grad in grads])
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+        p = ref.online.flat
+        p -= cfg.learning_rate * (update + cfg.weight_decay * p)
+        if t % sync == 0:
+            ref.target.copy_from(ref.online)
+
+        assert loss == ref_loss
+        assert np.array_equal(agent.online.flat, ref.online.flat)
+        assert np.array_equal(agent.target.flat, ref.target.flat)
+        assert np.array_equal(agent._adam_m, m) and np.array_equal(agent._adam_v, v)
+    assert agent.step_count == 7
+
+
+def test_networks_and_moments_are_rows_of_one_array():
+    agent = agent_with(target_sync_period=2)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        agent.train_batch(random_batch(rng))
+    assert agent._params.shape == agent._moments.shape == (2, agent.online.flat.size)
+    for row, view in enumerate((agent.online.flat, agent.target.flat)):
+        assert np.shares_memory(view, agent._params[row]) and not np.shares_memory(view, agent._params[1 - row])
+    for row, view in enumerate((agent._adam_m, agent._adam_v)):
+        assert np.shares_memory(view, agent._moments[row]) and not np.shares_memory(view, agent._moments[1 - row])
+    # a clone, or a fresh net filled by copy_from, owns its parameters
+    twin = agent.online.clone()
+    other = QNetwork(agent.online.layer_sizes)
+    other.copy_from(agent.target)
+    for net, source in ((twin, agent.online), (other, agent.target)):
+        assert np.array_equal(net.flat, source.flat)
+        assert not np.shares_memory(net.flat, agent._params)
+        assert not np.shares_memory(net.flat, agent._moments)
+        net.flat[:] = 7.0
+        assert not np.any(source.flat == 7.0)
 
 
 # -- replay buffer ------------------------------------------------------------
