@@ -12,11 +12,12 @@ def atomic_open(path, mode: str = "w"):
 
     If the block raises, the temp file is removed and `path` keeps what it
     held, so no torn output ever bears its final name. Text mode writes
-    newlines untranslated, as `csv` needs.
+    UTF-8 with newlines untranslated, as `csv` needs, whatever the locale.
     """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+        text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
+        with open(tmp, mode, **text) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -5,7 +5,9 @@ state vector to one q-value per action. Training follows the double-DQN
 rule: the online network picks the bootstrap action, a periodically
 synchronized target network evaluates it. Updates are Adam with decoupled
 weight decay, computed by hand-written backpropagation; no ML runtime is
-involved, which keeps runs bit-reproducible across machines.
+involved. Runs are bit-reproducible on one host, and across hosts only
+where numpy dispatches to the same SIMD level and OpenBLAS picks an FMA
+kernel for the small matmuls (ROADMAP open item 1 removes that limit).
 """
 
 from __future__ import annotations

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from array import array
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -34,7 +36,7 @@ from .dqn import DqnAgent, ReplayBuffer, Transition
 from .env import NetworkEnv, StepKpis
 from .modes import AGENT_ACTION_MODES, CANONICAL_MODES, ApplicationMode
 from .policies import ConstantPolicy, DqlTrainingPolicy
-from .reward import QosSample, compute_reward, normalize_reward, qos_met
+from .reward import QosSample, compute_reward, qos_met
 
 _PHASE_CODES = {"offline": 1, "online": 2, "test": 3}
 
@@ -42,16 +44,8 @@ _PHASE_CODES = {"offline": 1, "online": 2, "test": 3}
 # the records.csv columns in order, less the run-level `policy` label.
 StepRow = NamedTuple(
     "StepRow",
-    [
-        ("episode", int),
-        ("step", int),
-        ("vehicle", int),
-        ("action", int),
-        *get_type_hints(StepKpis).items(),
-        ("cd", float),
-        ("reward", float),
-        ("qos_met", int),
-    ],
+    [("episode", int), ("step", int), ("vehicle", int), ("action", int), *get_type_hints(StepKpis).items(),
+     ("cd", float), ("reward", float), ("qos_met", int)],
 )
 
 RECORDS_HEADER = [*StepRow._fields, "policy"]
@@ -66,22 +60,70 @@ FIGURE_FILES = (
 )
 
 
-@dataclass
-class EpisodeRecord:
-    """The step rows of one episode.
+@dataclass(frozen=True)
+class EpisodeRows:
+    """One episode's rows in a records.csv, from byte `offset` (line `line`) on.
 
-    `policy` is the run-level label carried into every CSV row: the phase
-    name for training records, the policy name for test records.
+    Sized and read-only; each pass parses them anew with `read_records_csv`'s parser.
+    """
+
+    path: Path
+    offset: int
+    line: int
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offset)
+            yield from (row for _, _, row, _ in islice(_parse_rows(fh, self.path, self.line), self.count))
+
+
+@dataclass(eq=False)  # its columns are arrays, which do not compare to one bool
+class EpisodeRecord:
+    """One episode: its episodes.csv facts, its figure inputs and a view of its rows.
+
+    `policy` labels its CSV rows: the phase name in training, the policy name
+    under test. `delays` and `rewards` are the float64 delay_mean and raw
+    reward columns, the only per-row data kept in memory.
     """
 
     episode: int
     epsilon: float
-    policy: str = "run"
-    rows: list[StepRow] = field(default_factory=list)
+    policy: str
+    rows: EpisodeRows
+    action_counts: Counter
+    cd_counts: Counter
+    qos_count: int
+    delays: np.ndarray
+    rewards: np.ndarray
 
-    @property
-    def action_counts(self) -> Counter:
-        return Counter(row.action for row in self.rows)
+
+class _Tally:
+    """An episode's figure inputs, gathered row by row, in a live run or from a records.csv."""
+
+    def __init__(self):
+        self.actions, self.cds, self.qos = Counter(), Counter(), 0
+        self.delays, self.rewards = array("d"), array("d")
+
+    def add(self, rows) -> None:
+        for r in rows:
+            self.actions[r.action] += 1
+            self.cds[r.cd] += 1
+            self.qos += r.qos_met
+            self.delays.append(r.delay_mean)
+            self.rewards.append(r.reward)
+
+    def record(self, episode, epsilon, policy, path, offset, line) -> EpisodeRecord:
+        rewards = np.array(self.rewards)
+        bad = np.flatnonzero(~((rewards >= 0.0) & (rewards <= 1.0)))  # NaN fails too
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"{path}:{line + i}: raw reward must be in [0, 1], got {rewards[i]}")
+        view, delays = EpisodeRows(path, offset, line, len(rewards)), np.array(self.delays)
+        return EpisodeRecord(episode, epsilon, policy, view, self.actions, self.cds, self.qos, delays, rewards)
 
 
 @dataclass
@@ -102,64 +144,45 @@ class TestSummary:
     action_fractions: dict[int, float]
 
 
-def _episode_seed(base_seed: int, phase: str, episode: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([base_seed, _PHASE_CODES[phase], episode])
-
-
 def _epsilon_for_episode(cfg, episode: int) -> float:
     """Linear decay from eps_start to eps_end over eps_decay_episodes."""
     if episode >= cfg.eps_decay_episodes:
         return cfg.eps_end
-    frac = episode / cfg.eps_decay_episodes
-    return cfg.eps_start + (cfg.eps_end - cfg.eps_start) * frac
+    return cfg.eps_start + (cfg.eps_end - cfg.eps_start) * (episode / cfg.eps_decay_episodes)
 
 
 def weights_digest(agent: DqnAgent) -> str:
     """SHA-256 over all online and target parameters; guards phase isolation."""
-    h = hashlib.sha256()
-    for net in (agent.online, agent.target):
-        h.update(net.flat.tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(b"".join(net.flat.tobytes() for net in (agent.online, agent.target))).hexdigest()
 
 
-def _run_episode(env, policy, agent, buffer, rng, episode, episode_seed, epsilon, reward_params, label="run"):
-    """One episode; returns its EpisodeRecord.
+def _run_episode(env, policy, agent, buffer, rng, episode, episode_seed, reward_params):
+    """One episode; yields each period's step rows, one per vehicle, as the period ends.
 
     Given a replay buffer, the episode learns: transitions flow into the
     buffer and one training step of `agent` runs per period once a batch
     is available. Periods that generated no traffic produce no transition.
     """
-    record = EpisodeRecord(episode=episode, epsilon=epsilon, policy=label)
-    rows = record.rows
     states = env.reset(episode_seed)
-    n = env.config.n_vehicles
-    step = 0
-    done = False
+    step, done = 0, False
     while not done:
-        modes = [policy.decide(states[v], rng) for v in range(n)]
+        modes = [policy.decide(states[v], rng) for v in range(env.config.n_vehicles)]
         next_states, kpis, done = env.step(modes)
+        rows = []
         for v, (mode, k) in enumerate(zip(modes, kpis)):
             sample = QosSample(k.prr, k.delay_mean, mode.cd_sym)
             reward = compute_reward(sample, reward_params)
             met = qos_met(sample, reward_params)
             rows.append(StepRow(episode, step, v, mode.mode_id, *k, mode.cd_sym, reward, int(met)))
             if buffer is not None and k.packets_generated > 0:
-                buffer.push(
-                    Transition(
-                        state=states[v],
-                        action=_action_index(mode),
-                        reward=reward,
-                        next_state=next_states[v],
-                        terminal=done,
-                    )
-                )
+                buffer.push(Transition(states[v], _action_index(mode), reward, next_states[v], done))
         if buffer is not None:
             batch = buffer.sample(agent.config.batch_size, rng)
             if batch is not None:
                 agent.train_batch(batch)
+        yield rows
         states = next_states
         step += 1
-    return record
 
 
 def _action_index(mode: ApplicationMode) -> int:
@@ -169,34 +192,36 @@ def _action_index(mode: ApplicationMode) -> int:
         raise ValueError(f"mode {mode.mode_id} is not in the agent action set") from None
 
 
-def _run_episodes(config, phase, episodes, policy_for, label, agent=None, buffer=None):
+def _run_episodes(config, phase, episodes, policy_for, label, output_dir, agent=None, buffer=None):
     """Run one phase's episodes; `policy_for(episode)` gives (policy, epsilon).
 
     Channel realizations are seeded per (base seed, phase, episode) and the
-    decision stream per (base seed, phase).
+    decision stream per (base seed, phase). records.csv grows a period and
+    episodes.csv an episode at a time, each inside one `atomic_open`.
     """
     if episodes < 1:
         raise ValueError(f"{phase} phase needs at least one episode, got {episodes}")
     base_seed = config.sim.rng_seed
     env = NetworkEnv(config.sim)
     rng = np.random.default_rng(np.random.SeedSequence([base_seed, 100 + _PHASE_CODES[phase]]))
-    records: list[EpisodeRecord] = []
-    for episode in range(episodes):
-        policy, epsilon = policy_for(episode)
-        seed = _episode_seed(base_seed, phase, episode)
-        records.append(
-            _run_episode(env, policy, agent, buffer, rng, episode, seed, epsilon, config.reward, label)
-        )
-    return records
-
-
-def _write_outputs(records: list[EpisodeRecord], output_dir) -> TestSummary:
-    """Write records.csv, episodes.csv and the figure CSVs; returns the summary."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_records_csv(records, out / "records.csv")
-    write_episodes_csv(records, out / "episodes.csv")
-    return emit_figures_csv(records, out)
+    records: list[EpisodeRecord] = []
+    line = 2  # of the next row; the header is line 1
+    with _csv_file(out / "records.csv", RECORDS_HEADER) as (fh, records_csv), _csv_file(
+        out / "episodes.csv", EPISODES_HEADER
+    ) as (_, episodes_csv):
+        for episode in range(episodes):
+            policy, epsilon = policy_for(episode)
+            seed = np.random.SeedSequence([base_seed, _PHASE_CODES[phase], episode])
+            offset, tally = fh.tell(), _Tally()
+            for rows in _run_episode(env, policy, agent, buffer, rng, episode, seed, config.reward):
+                write_records_csv(records_csv, rows, label)
+                tally.add(rows)
+            records.append(tally.record(episode, epsilon, label, out / "records.csv", offset, line))
+            write_episodes_csv(episodes_csv, records[-1])
+            line += len(records[-1].rows)
+    return records
 
 
 def run_offline_training(config: ExperimentConfig, output_dir, agent: DqnAgent | None = None):
@@ -205,14 +230,12 @@ def run_offline_training(config: ExperimentConfig, output_dir, agent: DqnAgent |
     Returns (agent, records); writes records, per-episode stats, figure
     CSVs and the checkpoint under output_dir.
     """
-    run = config.resolved_run()
-    return _train(config, output_dir, "offline", run.offline_episodes, agent)
+    return _train(config, output_dir, "offline", config.resolved_run().offline_episodes, agent)
 
 
 def run_online_training(config: ExperimentConfig, output_dir, agent: DqnAgent | None = None):
     """Online phase: per-step epsilon-greedy decisions with decaying epsilon."""
-    run = config.resolved_run()
-    return _train(config, output_dir, "online", run.online_episodes, agent)
+    return _train(config, output_dir, "online", config.resolved_run().online_episodes, agent)
 
 
 def _train(config, output_dir, phase, episodes, agent):
@@ -226,8 +249,8 @@ def _train(config, output_dir, phase, episodes, agent):
         return DqlTrainingPolicy(agent, epsilon), epsilon
 
     buffer = ReplayBuffer(config.agent.replay_capacity)
-    records = _run_episodes(config, phase, episodes, policy_for, phase, agent, buffer)
-    _write_outputs(records, output_dir)
+    records = _run_episodes(config, phase, episodes, policy_for, phase, output_dir, agent, buffer)
+    emit_figures_csv(records, output_dir)
     agent.save(Path(output_dir) / "checkpoint.npz")
     return agent, records
 
@@ -236,166 +259,152 @@ def run_test(config: ExperimentConfig, output_dir, policy, agent: DqnAgent | Non
     """Test phase: frozen policy, no learning, plus a distribution summary.
 
     `policy` is a ConstantPolicy or DqlGreedyPolicy. If `agent` is given,
-    its weights are checksummed before and after to prove they never moved.
+    its weights are checksummed before and after to prove they never moved;
+    if they did, the phase raises before writing its figure CSVs.
     Returns (records, summary).
     """
     if isinstance(policy, DqlTrainingPolicy):
         raise ValueError("test phase requires a frozen policy")
     digest_before = weights_digest(agent) if agent is not None else None
-    label = getattr(policy, "name", "policy")
-    episodes = config.resolved_run().test_episodes
-    records = _run_episodes(config, "test", episodes, lambda episode: (policy, 0.0), label)
+    label, episodes = getattr(policy, "name", "policy"), config.resolved_run().test_episodes
+    records = _run_episodes(config, "test", episodes, lambda episode: (policy, 0.0), label, output_dir)
     if agent is not None and weights_digest(agent) != digest_before:
         raise RuntimeError("agent weights changed during the test phase")
-    return records, _write_outputs(records, output_dir)
+    return records, emit_figures_csv(records, output_dir)
 
 
 def summarize_test(records: list[EpisodeRecord], policy_name: str) -> TestSummary:
-    rows = [r for rec in records for r in rec.rows]
-    return _summarize(rows, _normalized_rewards(rows), len(records), policy_name)
+    return _summarize(records, policy_name)[0]
 
 
-def _normalized_rewards(rows: list[StepRow]) -> np.ndarray:
-    return np.array([normalize_reward(r.reward) for r in rows])
-
-
-def _summarize(rows: list[StepRow], rewards: np.ndarray, episodes: int, policy_name: str) -> TestSummary:
-    if not rows:
-        raise ValueError("no step rows to summarize")
-    delays = np.array([r.delay_mean for r in rows])
-    p25, med, p75 = np.percentile(delays, [25.0, 50.0, 75.0])
+def _summarize(records: list[EpisodeRecord], policy_name: str) -> tuple[TestSummary, np.ndarray]:
+    """The records' summary and their rewards mapped onto [-1, +1], in row order."""
+    # the concatenations are copies, so the percentiles may reorder them instead of copying again
+    delays = np.concatenate([rec.delays for rec in records])
+    p25, med, p75 = np.percentile(delays, [25.0, 50.0, 75.0], overwrite_input=True)
     iqr = p75 - p25
-    in_low = delays[delays >= p25 - 1.5 * iqr]
-    in_high = delays[delays <= p75 + 1.5 * iqr]
-    counts = Counter(r.action for r in rows)
-    total = len(rows)
+    low, high = delays[delays >= p25 - 1.5 * iqr].min(), delays[delays <= p75 + 1.5 * iqr].max()
+    rewards = np.concatenate([rec.rewards for rec in records])
+    rewards *= 2.0  # `normalize_reward`'s map, in place; `_Tally.record` checked the range
+    rewards -= 1.0
+    counts = sum((rec.action_counts for rec in records), Counter())
+    total = len(delays)
     return TestSummary(
-        policy=policy_name,
-        episodes=episodes,
-        steps=total,
-        qos_fraction=sum(r.qos_met for r in rows) / total,
-        median_reward=float(np.median(rewards)),
-        max_reward=float(rewards.max()),
-        delay_median=float(med),
-        delay_p25=float(p25),
-        delay_p75=float(p75),
-        delay_whisker_low=float(in_low.min()),
-        delay_whisker_high=float(in_high.max()),
+        policy=policy_name, episodes=len(records), steps=total,
+        qos_fraction=sum(rec.qos_count for rec in records) / total,
+        median_reward=float(np.median(rewards, overwrite_input=True)), max_reward=float(rewards.max()),
+        delay_median=float(med), delay_p25=float(p25), delay_p75=float(p75),
+        delay_whisker_low=float(low), delay_whisker_high=float(high),
         action_fractions={m: counts[m] / total for m in sorted(counts)},
-    )
+    ), rewards
 
 
 # -- CSV emission --------------------------------------------------------
 
+_MODE_IDS = [m.mode_id for m in CANONICAL_MODES]
+EPISODES_HEADER = ["episode", "epsilon", "mean_reward", "qos_fraction", *(f"count_{m}" for m in _MODE_IDS)]
+
 
 @contextmanager
-def _csv_file(path):
-    """A csv writer onto `path`, which appears only once it is written whole."""
+def _csv_file(path, header):
+    """(file, csv writer) onto `path`, header written; the file appears only once written whole."""
     with atomic_open(path) as fh:
-        yield csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        yield fh, writer
 
 
-def write_records_csv(records: list[EpisodeRecord], path) -> None:
-    with _csv_file(path) as w:
-        w.writerow(RECORDS_HEADER)
-        for rec in records:
-            w.writerows((*row, rec.policy) for row in rec.rows)
+def write_records_csv(writer, rows: list[StepRow], policy: str) -> None:
+    """Append step rows to records.csv."""
+    writer.writerows((*row, policy) for row in rows)
 
 
-def write_episodes_csv(records: list[EpisodeRecord], path) -> None:
-    mode_ids = [m.mode_id for m in CANONICAL_MODES]
-    with _csv_file(path) as w:
-        w.writerow(
-            ["episode", "epsilon", "mean_reward", "qos_fraction"]
-            + [f"count_{m}" for m in mode_ids]
-        )
-        for rec in records:
-            counts = rec.action_counts
-            mean_reward = float(np.mean([r.reward for r in rec.rows]))
-            qos_fraction = float(np.mean([r.qos_met for r in rec.rows]))
-            w.writerow([rec.episode, rec.epsilon, mean_reward, qos_fraction] + [counts[m] for m in mode_ids])
+def write_episodes_csv(writer, rec: EpisodeRecord) -> None:
+    """Append one episode's line to episodes.csv."""
+    mean_reward, qos_fraction = float(np.mean(rec.rewards)), rec.qos_count / len(rec.rows)
+    counts = [rec.action_counts[m] for m in _MODE_IDS]
+    writer.writerow([rec.episode, rec.epsilon, mean_reward, qos_fraction, *counts])
 
 
 def emit_figures_csv(records: list[EpisodeRecord], output_dir) -> TestSummary:
-    """Write the five figure-ready CSVs for a set of episode records.
+    """Write the five figure-ready CSVs (`FIGURE_FILES`, described in the README).
 
     Returns the records' `TestSummary`, labeled with their policy, which
-    the delay boxplot is drawn from.
-
-    action_probability: per-episode selection frequency of each mode;
-    cd_distribution: histogram of per-step chamfer distances;
-    qos_distribution: fraction of periods meeting / violating QoS;
-    delay_boxplot: median, quartiles and whiskers of per-period mean delay,
-    labeled with the records' policy;
-    reward_distribution: percentiles of the normalized reward.
+    the delay boxplot is drawn from. Only the records' counts and columns
+    are read, never their rows.
     """
     if not records:
         raise ValueError("no records to export")
-    rows = [r for rec in records for r in rec.rows]
-    rewards = _normalized_rewards(rows)
-    summary = _summarize(rows, rewards, len(records), records[0].policy)
-    total = len(rows)
-    mode_ids = [m.mode_id for m in CANONICAL_MODES]
+    summary, rewards = _summarize(records, records[0].policy)
+    total = summary.steps
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with _csv_file(out / "action_probability.csv") as w:
-        w.writerow(["episode"] + [f"p_{m}" for m in mode_ids])
+    with _csv_file(out / "action_probability.csv", ["episode"] + [f"p_{m}" for m in _MODE_IDS]) as (_, w):
         for rec in records:
-            counts = rec.action_counts
-            w.writerow([rec.episode] + [counts[m] / len(rec.rows) for m in mode_ids])
+            w.writerow([rec.episode] + [rec.action_counts[m] / len(rec.rows) for m in _MODE_IDS])
 
-    with _csv_file(out / "cd_distribution.csv") as w:
-        w.writerow(["cd", "count", "fraction"])
-        values = Counter(r.cd for r in rows)
+    with _csv_file(out / "cd_distribution.csv", ["cd", "count", "fraction"]) as (_, w):
+        values = sum((rec.cd_counts for rec in records), Counter())
         w.writerows([cd, values[cd], values[cd] / total] for cd in sorted(values))
 
-    with _csv_file(out / "qos_distribution.csv") as w:
-        w.writerow(["qos_met", "count", "fraction"])
-        met = sum(r.qos_met for r in rows)
-        w.writerow([0, total - met, (total - met) / total])
-        w.writerow([1, met, met / total])
+    with _csv_file(out / "qos_distribution.csv", ["qos_met", "count", "fraction"]) as (_, w):
+        met = sum(rec.qos_count for rec in records)
+        w.writerows([[0, total - met, (total - met) / total], [1, met, met / total]])
 
-    with _csv_file(out / "delay_boxplot.csv") as w:
-        w.writerow(["policy", "median", "p25", "p75", "whisker_low", "whisker_high"])
-        w.writerow(
-            [
-                summary.policy,
-                summary.delay_median,
-                summary.delay_p25,
-                summary.delay_p75,
-                summary.delay_whisker_low,
-                summary.delay_whisker_high,
-            ]
-        )
+    boxplot = ["median", "p25", "p75", "whisker_low", "whisker_high"]
+    with _csv_file(out / "delay_boxplot.csv", ["policy", *boxplot]) as (_, w):
+        w.writerow([summary.policy, *(getattr(summary, f"delay_{k}") for k in boxplot)])
 
-    with _csv_file(out / "reward_distribution.csv") as w:
-        w.writerow(["percentile", "normalized_reward"])
-        w.writerows(zip(range(101), np.percentile(rewards, range(101)).tolist()))
+    with _csv_file(out / "reward_distribution.csv", ["percentile", "normalized_reward"]) as (_, w):
+        w.writerows(zip(range(101), np.percentile(rewards, range(101), overwrite_input=True).tolist()))
     return summary
 
 
-def read_records_csv(path) -> list[EpisodeRecord]:
-    """Read a records.csv back into episode records of `StepRow`s (for re-export)."""
-    by_episode: dict[int, EpisodeRecord] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RECORDS_HEADER:
-            raise ValueError(f"{path}: unexpected records header {header}")
+def _parse_rows(fh, path, line=2):
+    """Parse records.csv rows from binary `fh`, which sits at the start of line `line`.
+
+    Yields (byte offset, line, StepRow, policy label) for each row. A
+    malformed row raises ValueError naming its path and line.
+    """
+    end = fh.tell()
+
+    def lines():
+        nonlocal end
+        for raw in fh:
+            end += len(raw)
+            yield raw.decode()
+
+    reader = csv.reader(lines())
+    start, first = end, line
+    try:
         for fields in reader:
             if len(fields) != len(RECORDS_HEADER):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected {len(RECORDS_HEADER)} fields, got {len(fields)}"
-                )
-            try:
-                row = StepRow._make(parse(text) for parse, text in zip(_COLUMN_TYPES, fields))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            rec = by_episode.setdefault(
-                row.episode, EpisodeRecord(episode=row.episode, epsilon=0.0, policy=fields[-1])
-            )
-            rec.rows.append(row)
+                raise ValueError(f"expected {len(RECORDS_HEADER)} fields, got {len(fields)}")
+            row = StepRow._make(parse(text) for parse, text in zip(_COLUMN_TYPES, fields))
+            yield start, first, row, fields[-1]
+            start, first = end, line + reader.line_num
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}:{line + reader.line_num - 1}: {exc}") from None
+
+
+def read_records_csv(path) -> list[EpisodeRecord]:
+    """Read a records.csv back into episode records, one episode's rows in memory at a time.
+
+    Each episode's rows must be contiguous, as a run writes them.
+    """
+    by_episode: dict[int, EpisodeRecord] = {}
+    with open(path, "rb") as fh:
+        header = fh.readline().decode(errors="replace").rstrip("\r\n").split(",")
+        if header != RECORDS_HEADER:
+            raise ValueError(f"{path}: unexpected records header {header}")
+        for episode, group in groupby(_parse_rows(fh, path), key=lambda item: item[2].episode):
+            offset, line, row, policy = next(group)
+            if episode in by_episode:
+                raise ValueError(f"{path}:{line}: episode {episode} resumes after another episode's rows")
+            tally = _Tally()
+            tally.add(chain([row], (item[2] for item in group)))
+            by_episode[episode] = tally.record(episode, 0.0, policy, path, offset, line)
     if not by_episode:
         raise ValueError(f"{path}: no rows")
     return [by_episode[e] for e in sorted(by_episode)]

@@ -142,6 +142,31 @@ def test_cli_export_rejects_short_and_long_rows(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+def test_cli_export_names_the_row_of_a_bad_field(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    out = tmp_path / "t"
+    assert main(
+        ["test", "--config", str(cfg), "--profile", "quick", "--seed", "1",
+         "--policy", "constant:1450", "--out", str(out)]
+    ) == 0
+    lines = (out / "records.csv").read_text().splitlines()
+    reward = lines[0].split(",").index("reward")
+    cases = (
+        ("oversized", -1, "x" * 131_073, "field larger than field limit (131072)"),
+        ("nan", reward, "nan", "raw reward must be in [0, 1], got nan"),
+        ("above", reward, "1.5", "raw reward must be in [0, 1], got 1.5"),
+    )
+    for name, column, value, message in cases:
+        fields = lines[3].split(",")
+        fields[column] = value
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join([*lines[:3], ",".join(fields), *lines[4:]]) + "\n")
+        capsys.readouterr()
+        assert main(["export", "--records", str(bad), "--out", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:4: {message}\n"
+        assert not (tmp_path / name).exists()
+
+
 def test_cli_alpha_flag(tmp_path):
     cfg = write_tiny_config(tmp_path)
     out = tmp_path / "t"

@@ -49,13 +49,30 @@ def test_episode_accounting(tmp_path):
         assert sum(rec.action_counts.values()) == steps * 3
 
 
+def test_live_rows_are_a_view_onto_records_csv(tmp_path):
+    cfg = tiny_config(n_vehicles=3, offline=3)
+    _, records = run_offline_training(cfg, tmp_path / "off")
+    loaded = read_records_csv(tmp_path / "off" / "records.csv")
+    assert [len(rec.rows) for rec in records] == [cfg.sim.steps_per_episode * 3] * 3
+    for live, back in zip(records, loaded):
+        assert list(live.rows) == list(back.rows)
+        # the figure inputs are filled the same way while running and while reading
+        assert (live.action_counts, live.cd_counts, live.qos_count) == (
+            back.action_counts,
+            back.cd_counts,
+            back.qos_count,
+        )
+        assert np.array_equal(live.delays, back.delays) and np.array_equal(live.rewards, back.rewards)
+        assert live.rewards.tolist() == [row.reward for row in back.rows]
+
+
 def test_training_pushes_one_transition_per_vehicle_step():
     cfg = tiny_config(n_vehicles=2)
     env = NetworkEnv(cfg.sim)
     agent = DqnAgent(cfg.agent)
     buffer = ReplayBuffer(1000)
     rng = np.random.default_rng(0)
-    _run_episode(
+    for _ in _run_episode(
         env,
         ConstantPolicy(1451),
         agent,
@@ -63,9 +80,9 @@ def test_training_pushes_one_transition_per_vehicle_step():
         rng,
         episode=0,
         episode_seed=1,
-        epsilon=1.0,
         reward_params=cfg.reward,
-    )
+    ):
+        pass
     assert len(buffer) == cfg.sim.steps_per_episode * 2
 
 
@@ -77,7 +94,7 @@ def test_no_traffic_periods_are_skipped():
     agent = DqnAgent(cfg.agent)
     buffer = ReplayBuffer(1000)
     rng = np.random.default_rng(0)
-    record = _run_episode(
+    periods = _run_episode(
         env,
         ConstantPolicy(1452),
         agent,
@@ -85,11 +102,11 @@ def test_no_traffic_periods_are_skipped():
         rng,
         episode=0,
         episode_seed=1,
-        epsilon=1.0,
         reward_params=cfg.reward,
     )
+    rows = [row for period in periods for row in period]
     steps = cfg.sim.steps_per_episode
-    assert len(record.rows) == steps  # KPIs still reported every period
+    assert len(rows) == steps  # KPIs still reported every period
     assert len(buffer) == steps // 2  # but idle periods store no transition
 
 
@@ -208,8 +225,9 @@ def test_records_csv_roundtrip_through_export(tmp_path):
     cfg = tiny_config()
     records, _ = run_test(cfg, tmp_path / "t", ConstantPolicy(1451))
     loaded = read_records_csv(tmp_path / "t" / "records.csv")
-    assert [(rec.episode, rec.policy, rec.rows) for rec in loaded] == [
-        (rec.episode, rec.policy, rec.rows) for rec in records
+    # the rows are views onto two files, so their parsed contents are compared
+    assert [(rec.episode, rec.policy, list(rec.rows)) for rec in loaded] == [
+        (rec.episode, rec.policy, list(rec.rows)) for rec in records
     ]
     emit_figures_csv(loaded, tmp_path / "re")
     for name in FIGURE_FILES:
@@ -225,17 +243,23 @@ def test_failed_write_leaves_the_earlier_outputs_whole(tmp_path, monkeypatch):
     real_writer = csv.writer
 
     class TornWriter:
-        """Writes the header and a few rows, then fails as a full disk would."""
+        """Writes the header and a few rows, then fails as a full disk would.
+
+        Rows are counted over all `writerows` calls, since records.csv is
+        appended a period at a time.
+        """
 
         def __init__(self, handle, **options):
             self.writer = real_writer(handle, **options)
+            self.rows = 0
 
         def writerow(self, row):
             self.writer.writerow(row)
 
         def writerows(self, rows):
-            for i, row in enumerate(rows):
-                if i == 5:
+            for row in rows:
+                self.rows += 1
+                if self.rows == 6:
                     raise OSError("disk full")
                 self.writer.writerow(row)
 

@@ -18,7 +18,7 @@ import pytest
 import pqossim
 from pqossim.cli import main
 from pqossim.dqn import AgentConfig, DqnAgent
-from pqossim.harness import read_records_csv
+from pqossim.harness import FIGURE_FILES, read_records_csv
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
 
@@ -90,3 +90,27 @@ def test_killed_training_leaves_no_torn_file(tmp_path, capsys):
                 break
         else:
             pytest.fail(f"no run was killed at: {point}")
+
+
+def _lines(path: Path) -> int:
+    try:
+        with open(path, "rb") as fh:
+            return sum(1 for _ in fh)
+    except FileNotFoundError:  # the phase ended or failed between listdir and open
+        return 0
+
+
+def test_killed_mid_phase_leaves_no_final_csv(tmp_path):
+    # records.csv.tmp grows while the phase runs; kill once it holds more
+    # than one whole episode (a header, then 200 rows per episode)
+    final = {"records.csv", "episodes.csv", *FIGURE_FILES}
+    for attempt in range(4):
+        out = tmp_path / f"kill-{attempt}"
+        tmp = out / "records.csv.tmp"
+        if _kill_when(out, lambda names: not names & final and _lines(tmp) > 1 + 200):
+            break
+    else:
+        pytest.fail("no run was killed with more than one episode in records.csv.tmp")
+    names = set(os.listdir(out))
+    assert not names & final
+    assert _lines(tmp) > 1 + 200
