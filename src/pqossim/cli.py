@@ -62,21 +62,14 @@ def _write_resolved(config, out: Path) -> None:
         fh.write(cfgmod.serialize(config))
 
 
-def _cmd_train_offline(args) -> int:
-    config = _build_config(args, "offline")
+def _cmd_train(args) -> int:
+    config = _build_config(args, args.phase)
     _write_resolved(config, args.out)
     agent = DqnAgent.load(args.checkpoint, config.agent) if args.checkpoint else None
-    run_offline_training(config, args.out, agent)
-    print(f"offline training done: {config.resolved_run().offline_episodes} episodes -> {args.out}")
-    return 0
-
-
-def _cmd_train_online(args) -> int:
-    config = _build_config(args, "online")
-    _write_resolved(config, args.out)
-    agent = DqnAgent.load(args.checkpoint, config.agent) if args.checkpoint else None
-    run_online_training(config, args.out, agent)
-    print(f"online training done: {config.resolved_run().online_episodes} episodes -> {args.out}")
+    train = run_offline_training if args.phase == "offline" else run_online_training
+    train(config, args.out, agent)
+    episodes = getattr(config.resolved_run(), f"{args.phase}_episodes")
+    print(f"{args.phase} training done: {episodes} episodes -> {args.out}")
     return 0
 
 
@@ -127,15 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pqossim", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-offline", help="per-episode fixed actions, round-robin")
-    _add_common(p)
-    p.add_argument("--checkpoint", type=Path, help="warm-start weights")
-    p.set_defaults(func=_cmd_train_offline)
-
-    p = sub.add_parser("train-online", help="per-step epsilon-greedy training")
-    _add_common(p)
-    p.add_argument("--checkpoint", type=Path, help="warm-start weights")
-    p.set_defaults(func=_cmd_train_online)
+    for phase, summary in (("offline", "per-episode fixed actions, round-robin"),
+                           ("online", "per-step epsilon-greedy training")):
+        p = sub.add_parser(f"train-{phase}", help=summary)
+        _add_common(p)
+        p.add_argument("--checkpoint", type=Path, help="warm-start weights")
+        p.set_defaults(func=_cmd_train, phase=phase)
 
     p = sub.add_parser("test", help="frozen-policy evaluation")
     _add_common(p)

@@ -24,7 +24,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -60,40 +60,21 @@ FIGURE_FILES = (
 )
 
 
-@dataclass(frozen=True)
-class EpisodeRows:
-    """One episode's rows in a records.csv, from byte `offset` (line `line`) on.
-
-    Sized and read-only; each pass parses them anew with `read_records_csv`'s parser.
-    """
-
-    path: Path
-    offset: int
-    line: int
-    count: int
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        with open(self.path, "rb") as fh:
-            fh.seek(self.offset)
-            yield from (row for _, _, row, _ in islice(_parse_rows(fh, self.path, self.line), self.count))
-
-
 @dataclass(eq=False)  # its columns are arrays, which do not compare to one bool
 class EpisodeRecord:
-    """One episode: its episodes.csv facts, its figure inputs and a view of its rows.
+    """One episode: its episodes.csv facts, its figure inputs and its rows' line range.
 
     `policy` labels its CSV rows: the phase name in training, the policy name
-    under test. `delays` and `rewards` are the float64 delay_mean and raw
-    reward columns, the only per-row data kept in memory.
+    under test. `rows` is the range of the episode's line numbers in
+    records.csv (the header is line 1), one line per row. `delays` and
+    `rewards` are the float64 delay_mean and raw reward columns, the only
+    per-row data kept in memory.
     """
 
     episode: int
     epsilon: float
     policy: str
-    rows: EpisodeRows
+    rows: range
     action_counts: Counter
     cd_counts: Counter
     qos_count: int
@@ -116,14 +97,18 @@ class _Tally:
             self.delays.append(r.delay_mean)
             self.rewards.append(r.reward)
 
-    def record(self, episode, epsilon, policy, path, offset, line) -> EpisodeRecord:
-        rewards = np.array(self.rewards)
-        bad = np.flatnonzero(~((rewards >= 0.0) & (rewards <= 1.0)))  # NaN fails too
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"{path}:{line + i}: raw reward must be in [0, 1], got {rewards[i]}")
-        view, delays = EpisodeRows(path, offset, line, len(rewards)), np.array(self.delays)
-        return EpisodeRecord(episode, epsilon, policy, view, self.actions, self.cds, self.qos, delays, rewards)
+    def record(self, episode, epsilon, policy, path, line) -> EpisodeRecord:
+        rewards, delays = np.array(self.rewards), np.array(self.delays)
+        for column, ok, rule in (
+            # NaN fails every comparison; `np.isfinite` here lifted train-n5 peak RSS by about 0.4 MB
+            (rewards, (rewards >= 0.0) & (rewards <= 1.0), "raw reward must be in [0, 1]"),
+            (delays, (delays >= 0.0) & (delays < np.inf), "delay_mean must be finite and >= 0"),
+        ):
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                raise ValueError(f"{path}:{line + bad[0]}: {rule}, got {column[bad[0]]}")
+        rows = range(line, line + len(rewards))
+        return EpisodeRecord(episode, epsilon, policy, rows, self.actions, self.cds, self.qos, delays, rewards)
 
 
 @dataclass
@@ -207,20 +192,19 @@ def _run_episodes(config, phase, episodes, policy_for, label, output_dir, agent=
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     records: list[EpisodeRecord] = []
-    line = 2  # of the next row; the header is line 1
-    with _csv_file(out / "records.csv", RECORDS_HEADER) as (fh, records_csv), _csv_file(
+    with _csv_file(out / "records.csv", RECORDS_HEADER) as records_csv, _csv_file(
         out / "episodes.csv", EPISODES_HEADER
-    ) as (_, episodes_csv):
+    ) as episodes_csv:
         for episode in range(episodes):
             policy, epsilon = policy_for(episode)
             seed = np.random.SeedSequence([base_seed, _PHASE_CODES[phase], episode])
-            offset, tally = fh.tell(), _Tally()
+            tally = _Tally()
             for rows in _run_episode(env, policy, agent, buffer, rng, episode, seed, config.reward):
                 write_records_csv(records_csv, rows, label)
                 tally.add(rows)
-            records.append(tally.record(episode, epsilon, label, out / "records.csv", offset, line))
+            line = records[-1].rows.stop if records else 2  # of the episode's first row; the header is line 1
+            records.append(tally.record(episode, epsilon, label, out / "records.csv", line))
             write_episodes_csv(episodes_csv, records[-1])
-            line += len(records[-1].rows)
     return records
 
 
@@ -307,11 +291,11 @@ EPISODES_HEADER = ["episode", "epsilon", "mean_reward", "qos_fraction", *(f"coun
 
 @contextmanager
 def _csv_file(path, header):
-    """(file, csv writer) onto `path`, header written; the file appears only once written whole."""
+    """A csv writer onto `path`, header written; the file appears only once written whole."""
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        yield fh, writer
+        yield writer
 
 
 def write_records_csv(writer, rows: list[StepRow], policy: str) -> None:
@@ -340,71 +324,63 @@ def emit_figures_csv(records: list[EpisodeRecord], output_dir) -> TestSummary:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with _csv_file(out / "action_probability.csv", ["episode"] + [f"p_{m}" for m in _MODE_IDS]) as (_, w):
+    with _csv_file(out / "action_probability.csv", ["episode"] + [f"p_{m}" for m in _MODE_IDS]) as w:
         for rec in records:
             w.writerow([rec.episode] + [rec.action_counts[m] / len(rec.rows) for m in _MODE_IDS])
 
-    with _csv_file(out / "cd_distribution.csv", ["cd", "count", "fraction"]) as (_, w):
+    with _csv_file(out / "cd_distribution.csv", ["cd", "count", "fraction"]) as w:
         values = sum((rec.cd_counts for rec in records), Counter())
         w.writerows([cd, values[cd], values[cd] / total] for cd in sorted(values))
 
-    with _csv_file(out / "qos_distribution.csv", ["qos_met", "count", "fraction"]) as (_, w):
+    with _csv_file(out / "qos_distribution.csv", ["qos_met", "count", "fraction"]) as w:
         met = sum(rec.qos_count for rec in records)
         w.writerows([[0, total - met, (total - met) / total], [1, met, met / total]])
 
     boxplot = ["median", "p25", "p75", "whisker_low", "whisker_high"]
-    with _csv_file(out / "delay_boxplot.csv", ["policy", *boxplot]) as (_, w):
+    with _csv_file(out / "delay_boxplot.csv", ["policy", *boxplot]) as w:
         w.writerow([summary.policy, *(getattr(summary, f"delay_{k}") for k in boxplot)])
 
-    with _csv_file(out / "reward_distribution.csv", ["percentile", "normalized_reward"]) as (_, w):
+    with _csv_file(out / "reward_distribution.csv", ["percentile", "normalized_reward"]) as w:
         w.writerows(zip(range(101), np.percentile(rewards, range(101), overwrite_input=True).tolist()))
     return summary
 
 
-def _parse_rows(fh, path, line=2):
-    """Parse records.csv rows from binary `fh`, which sits at the start of line `line`.
+def _parse_rows(fh, path):
+    """(line, StepRow, policy label) for each row of the records.csv text `fh`, its header checked first.
 
-    Yields (byte offset, line, StepRow, policy label) for each row. A
-    malformed row raises ValueError naming its path and line.
+    A malformed header or row, or bytes that are not UTF-8, raise ValueError
+    naming `path` and the line.
     """
-    end = fh.tell()
-
-    def lines():
-        nonlocal end
-        for raw in fh:
-            end += len(raw)
-            yield raw.decode()
-
-    reader = csv.reader(lines())
-    start, first = end, line
+    reader = csv.reader(fh)
     try:
+        if (header := next(reader, RECORDS_HEADER)) != RECORDS_HEADER:  # an empty file has no rows
+            raise ValueError(f"unexpected records header {header}")
         for fields in reader:
             if len(fields) != len(RECORDS_HEADER):
                 raise ValueError(f"expected {len(RECORDS_HEADER)} fields, got {len(fields)}")
-            row = StepRow._make(parse(text) for parse, text in zip(_COLUMN_TYPES, fields))
-            yield start, first, row, fields[-1]
-            start, first = end, line + reader.line_num
+            yield reader.line_num, StepRow._make(parse(text) for parse, text in zip(_COLUMN_TYPES, fields)), fields[-1]
+    except UnicodeDecodeError as exc:
+        # the decoder fails on a whole chunk read ahead, so count the lines up to the bad byte
+        line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
     except (ValueError, csv.Error) as exc:
-        raise ValueError(f"{path}:{line + reader.line_num - 1}: {exc}") from None
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def read_records_csv(path) -> list[EpisodeRecord]:
     """Read a records.csv back into episode records, one episode's rows in memory at a time.
 
-    Each episode's rows must be contiguous, as a run writes them.
+    Each episode's rows must be contiguous and one line each, as a run writes them.
     """
     by_episode: dict[int, EpisodeRecord] = {}
-    with open(path, "rb") as fh:
-        header = fh.readline().decode(errors="replace").rstrip("\r\n").split(",")
-        if header != RECORDS_HEADER:
-            raise ValueError(f"{path}: unexpected records header {header}")
-        for episode, group in groupby(_parse_rows(fh, path), key=lambda item: item[2].episode):
-            offset, line, row, policy = next(group)
+    with open(path, encoding="utf-8", newline="") as fh:
+        for episode, group in groupby(_parse_rows(fh, path), key=lambda item: item[1].episode):
+            line, row, policy = next(group)
             if episode in by_episode:
                 raise ValueError(f"{path}:{line}: episode {episode} resumes after another episode's rows")
             tally = _Tally()
-            tally.add(chain([row], (item[2] for item in group)))
-            by_episode[episode] = tally.record(episode, 0.0, policy, path, offset, line)
+            tally.add(chain([row], (item[1] for item in group)))
+            by_episode[episode] = tally.record(episode, 0.0, policy, path, line)
     if not by_episode:
         raise ValueError(f"{path}: no rows")
     return [by_episode[e] for e in sorted(by_episode)]

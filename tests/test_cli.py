@@ -151,10 +151,14 @@ def test_cli_export_names_the_row_of_a_bad_field(tmp_path, capsys):
     ) == 0
     lines = (out / "records.csv").read_text().splitlines()
     reward = lines[0].split(",").index("reward")
+    delay = lines[0].split(",").index("delay_mean")
     cases = (
         ("oversized", -1, "x" * 131_073, "field larger than field limit (131072)"),
         ("nan", reward, "nan", "raw reward must be in [0, 1], got nan"),
         ("above", reward, "1.5", "raw reward must be in [0, 1], got 1.5"),
+        ("nan_delay", delay, "nan", "delay_mean must be finite and >= 0, got nan"),
+        ("inf_delay", delay, "inf", "delay_mean must be finite and >= 0, got inf"),
+        ("negative_delay", delay, "-5.0", "delay_mean must be finite and >= 0, got -5.0"),
     )
     for name, column, value, message in cases:
         fields = lines[3].split(",")
@@ -165,6 +169,26 @@ def test_cli_export_names_the_row_of_a_bad_field(tmp_path, capsys):
         assert main(["export", "--records", str(bad), "--out", str(tmp_path / name)]) == 2
         assert capsys.readouterr().err == f"error: {bad}:4: {message}\n"
         assert not (tmp_path / name).exists()
+
+
+def test_cli_export_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path, n_vehicles=5)
+    out = tmp_path / "t"
+    assert main(
+        ["test", "--config", str(cfg), "--profile", "quick", "--seed", "1",
+         "--policy", "constant:1450", "--out", str(out)]
+    ) == 0
+    lines = (out / "records.csv").read_bytes().split(b"\n")
+    assert sum(map(len, lines)) > 2 * 8192  # the file is decoded a chunk at a time, so span a few
+    for line in (1, 4, len(lines) // 2, len(lines) - 1):
+        bad_lines = list(lines)
+        bad_lines[line - 1] = bad_lines[line - 1][:5] + b"\xff" + bad_lines[line - 1][5:]
+        bad = tmp_path / f"line{line}.csv"
+        bad.write_bytes(b"\n".join(bad_lines))
+        capsys.readouterr()
+        assert main(["export", "--records", str(bad), "--out", str(tmp_path / bad.stem)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:{line}: not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / bad.stem).exists()
 
 
 def test_cli_alpha_flag(tmp_path):

@@ -1,4 +1,6 @@
 import csv
+import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,11 +35,19 @@ def tiny_config(n_vehicles=1, seed=5, offline=3, online=4, test=2):
     return cfg
 
 
+def records_csv_rows(path):
+    """records.csv's rows as dicts of column text, keyed by their line (the header is line 1)."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return {reader.line_num: row for row in reader}
+
+
 def test_offline_actions_cycle_round_robin(tmp_path):
     cfg = tiny_config(offline=4)
     _, records = run_offline_training(cfg, tmp_path / "off")
-    per_episode = [set(r.action for r in rec.rows) for rec in records]
-    assert per_episode == [{1450}, {1451}, {1452}, {1450}]
+    n = cfg.sim.steps_per_episode
+    per_episode = [dict(rec.action_counts) for rec in records]
+    assert per_episode == [{1450: n}, {1451: n}, {1452: n}, {1450: n}]
 
 
 def test_episode_accounting(tmp_path):
@@ -49,13 +59,20 @@ def test_episode_accounting(tmp_path):
         assert sum(rec.action_counts.values()) == steps * 3
 
 
-def test_live_rows_are_a_view_onto_records_csv(tmp_path):
+def test_live_records_match_records_csv_read_back(tmp_path):
     cfg = tiny_config(n_vehicles=3, offline=3)
     _, records = run_offline_training(cfg, tmp_path / "off")
     loaded = read_records_csv(tmp_path / "off" / "records.csv")
-    assert [len(rec.rows) for rec in records] == [cfg.sim.steps_per_episode * 3] * 3
+    lines = records_csv_rows(tmp_path / "off" / "records.csv")
+    n = cfg.sim.steps_per_episode * 3
+    assert [rec.rows for rec in records] == [range(2 + i * n, 2 + (i + 1) * n) for i in range(3)]
+    assert len(lines) == 3 * n
     for live, back in zip(records, loaded):
-        assert list(live.rows) == list(back.rows)
+        assert live.rows == back.rows
+        # each record's line range holds that episode's rows, in the order its columns keep them
+        assert {lines[i]["episode"] for i in live.rows} == {str(live.episode)}
+        assert live.rewards.tolist() == [float(lines[i]["reward"]) for i in live.rows]
+        assert live.delays.tolist() == [float(lines[i]["delay_mean"]) for i in live.rows]
         # the figure inputs are filled the same way while running and while reading
         assert (live.action_counts, live.cd_counts, live.qos_count) == (
             back.action_counts,
@@ -63,7 +80,6 @@ def test_live_rows_are_a_view_onto_records_csv(tmp_path):
             back.qos_count,
         )
         assert np.array_equal(live.delays, back.delays) and np.array_equal(live.rewards, back.rewards)
-        assert live.rewards.tolist() == [row.reward for row in back.rows]
 
 
 def test_training_pushes_one_transition_per_vehicle_step():
@@ -138,9 +154,16 @@ def test_rows_carry_the_chosen_mode_cd(tmp_path):
     cfg.agent.eps_start = 1.0
     cfg.agent.eps_end = 1.0
     _, records = run_online_training(cfg, tmp_path / "on")
-    rows = [r for rec in records for r in rec.rows]
-    assert {r.action for r in rows} == {1450, 1451, 1452}
-    assert all(r.cd == mode_from_id(r.action).cd_sym for r in rows)
+    rows = records_csv_rows(tmp_path / "on" / "records.csv").values()
+    assert len(rows) == sum(len(rec.rows) for rec in records)
+    assert {int(r["action"]) for r in rows} == {1450, 1451, 1452}
+    assert all(float(r["cd"]) == mode_from_id(int(r["action"])).cd_sym for r in rows)
+    for rec in records:
+        # the cd tally is the action tally, each action counted at its mode's cd
+        cds = Counter()
+        for action, count in rec.action_counts.items():
+            cds[mode_from_id(action).cd_sym] += count
+        assert rec.cd_counts == cds
 
 
 def test_test_phase_is_deterministic_and_frozen(tmp_path):
@@ -151,9 +174,7 @@ def test_test_phase_is_deterministic_and_frozen(tmp_path):
     rec1, sum1 = run_test(cfg, tmp_path / "t1", policy, agent)
     rec2, sum2 = run_test(cfg, tmp_path / "t2", policy, agent)
     assert weights_digest(agent) == digest
-    actions1 = [r.action for rec in rec1 for r in rec.rows]
-    actions2 = [r.action for rec in rec2 for r in rec.rows]
-    assert actions1 == actions2
+    assert [(rec.rows, rec.action_counts) for rec in rec1] == [(rec.rows, rec.action_counts) for rec in rec2]
     assert sum1 == sum2
     assert (tmp_path / "t1" / "records.csv").read_bytes() == (
         tmp_path / "t2" / "records.csv"
@@ -170,8 +191,7 @@ def test_test_phase_rejects_training_policy(tmp_path):
 def test_constant_test_cd_is_the_mode_constant(tmp_path):
     cfg = tiny_config()
     records, _ = run_test(cfg, tmp_path / "t", ConstantPolicy(1450))
-    cds = {r.cd for rec in records for r in rec.rows}
-    assert cds == {0.000044}
+    assert [rec.cd_counts for rec in records] == [Counter({0.000044: cfg.sim.steps_per_episode})] * 2
 
 
 def test_summary_rewards_in_normalized_range(tmp_path):
@@ -225,13 +245,35 @@ def test_records_csv_roundtrip_through_export(tmp_path):
     cfg = tiny_config()
     records, _ = run_test(cfg, tmp_path / "t", ConstantPolicy(1451))
     loaded = read_records_csv(tmp_path / "t" / "records.csv")
-    # the rows are views onto two files, so their parsed contents are compared
-    assert [(rec.episode, rec.policy, list(rec.rows)) for rec in loaded] == [
-        (rec.episode, rec.policy, list(rec.rows)) for rec in records
-    ]
+    def facts(rec):
+        return rec.episode, rec.policy, rec.rows, rec.action_counts, rec.cd_counts, rec.qos_count
+
+    assert [facts(rec) for rec in loaded] == [facts(rec) for rec in records]
+    for back, live in zip(loaded, records):
+        assert np.array_equal(back.delays, live.delays) and np.array_equal(back.rewards, live.rewards)
     emit_figures_csv(loaded, tmp_path / "re")
     for name in FIGURE_FILES:
         assert (tmp_path / "re" / name).read_bytes() == (tmp_path / "t" / name).read_bytes()
+
+
+def test_records_outlive_their_directory(tmp_path):
+    # a record holds its own counts and columns, so a later run into the same
+    # directory, or removing it, changes nothing a record reports
+    cfg = tiny_config(n_vehicles=2, test=3)
+    out, kept = tmp_path / "t", tmp_path / "kept"
+    first, _ = run_test(cfg, out, ConstantPolicy(1452))
+    kept.mkdir()
+    for name in FIGURE_FILES:
+        shutil.copy(out / name, kept / name)
+    second, _ = run_test(cfg, out, ConstantPolicy(1450))
+    shutil.rmtree(out)
+    n = cfg.sim.steps_per_episode * 2
+    assert [rec.rows for rec in first] == [range(2 + i * n, 2 + (i + 1) * n) for i in range(3)]
+    assert [dict(rec.action_counts) for rec in first] == [{1452: n}] * 3
+    assert [dict(rec.action_counts) for rec in second] == [{1450: n}] * 3
+    emit_figures_csv(first, tmp_path / "again")
+    for name in FIGURE_FILES:
+        assert (tmp_path / "again" / name).read_bytes() == (kept / name).read_bytes()
 
 
 def test_failed_write_leaves_the_earlier_outputs_whole(tmp_path, monkeypatch):
