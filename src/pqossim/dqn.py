@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import CheckpointError
+from .errors import CheckpointError, check_finite
 from .modes import AGENT_ACTION_IDS
 
 DEFAULT_LAYER_SIZES = (8, 12, 6, 3)
@@ -51,6 +51,7 @@ class AgentConfig:
         self.validate()
 
     def validate(self) -> None:
+        check_finite(self)
         if not 0.0 <= self.discount < 1.0:
             raise ValueError(f"discount must be in [0, 1), got {self.discount}")
         if self.learning_rate <= 0:

@@ -29,12 +29,12 @@ import bisect
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .link import McsTable, load_mcs_table
 from .modes import ApplicationMode, mode_from_id
 
@@ -57,10 +57,6 @@ _STRETCH_MIN_VEHICLE_TICKS = 40
 # vehicle, 4 at five. That spreads the channel's fixed numpy cost while its
 # arrays stay a few tens of KB, whatever the episode length.
 _CHANNEL_BLOCK_VALUES = 2048
-
-# Padding for the burst table of `_drain_stretch`: a bit offset no served
-# amount reaches.
-_NEVER = 1 << 62
 
 
 @dataclass
@@ -109,10 +105,7 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        check_finite(self)
         if self.carrier_frequency_ghz <= 0:
             raise ConfigError("carrier_frequency_ghz must be > 0")
         if not math.isfinite(_RE_PER_SYMBOL_PER_MHZ * self.bandwidth_mhz) or self.re_per_symbol < 1:
@@ -245,11 +238,11 @@ def state_vector(kpis: Sequence[StepKpis], config: SimConfig, mcs_index_max: int
 
 
 # A queued burst is the packets of one frame sharing an arrival time, kept
-# as a mutable list indexed by these positions. Every packet is full-size
-# except the burst's last one; `head` is the bits still to send of the
-# packet in transmission, `left` counts the packets not yet delivered,
-# that head packet included.
-_ARRIVAL, _PERIOD, _LEFT, _HEAD, _LAST = range(5)
+# as a mutable list indexed by these positions: the packet count, the
+# frame's size in bits and the bits of it already sent. Every packet is
+# full-size except the last, so a burst with `sent < bits` has finished
+# `sent // full_bits` packets, and all of them once `sent == bits`.
+_ARRIVAL, _PERIOD, _PACKETS, _BITS, _SENT = range(5)
 
 
 class NetworkEnv:
@@ -328,7 +321,7 @@ class NetworkEnv:
 
     def queued_packets(self) -> int:
         """Packets currently waiting or in transmission, fleet-wide."""
-        return sum(b[_LEFT] for q in self._queues for b in q)
+        return sum(b[_PACKETS] - b[_SENT] // self._full_bits for q in self._queues for b in q)
 
     # -- per-period physics --------------------------------------------
 
@@ -391,15 +384,9 @@ class NetworkEnv:
             1.0 + cfg.payload_cv * self._rng_payload.standard_normal()
         )
         payload_bytes = int(round(max(1.0, payload_kb) * 1000.0))
-        n_full, rem = divmod(payload_bytes, cfg.packet_size_bytes)
-        full_bits = self._full_bits
-        if rem:
-            n_packets, last_bits = n_full + 1, rem * 8
-        else:
-            n_packets, last_bits = n_full, full_bits
-        head_bits = full_bits if n_packets > 1 else last_bits
-        self._queues[vehicle].append([arrival_ms, period, n_packets, head_bits, last_bits])
-        self._queue_bits[vehicle] += full_bits * (n_packets - 1) + last_bits
+        n_packets = -(-payload_bytes // cfg.packet_size_bytes)
+        self._queues[vehicle].append([arrival_ms, period, n_packets, 8 * payload_bytes, 0])
+        self._queue_bits[vehicle] += 8 * payload_bytes
         self.total_generated += n_packets
         return n_packets
 
@@ -475,9 +462,9 @@ class NetworkEnv:
         `_water_fill`'s first round does; one more tick where some need
         equals its grant may end it, draining that queue. Served bits carry
         across packets, bursts and ticks exactly as the scalar drain carries
-        its leftovers, so a cumulative sum of the bits against the bursts'
-        packet boundaries gives the packets finished per tick. Every float
-        operation is the scalar loop's own, in the same order.
+        its leftovers, so the bursts' packet-count rule applied to a
+        cumulative sum of the bits gives the packets finished per tick.
+        Every float operation is the scalar loop's own, in the same order.
 
         Updates the queues and the period's accumulators in place; returns
         (end, delivered): the first tick not run (t0 if none qualified) and
@@ -518,11 +505,9 @@ class NetworkEnv:
         symbols = (grant_sums[phase + k] - grant_sums[phase]).tolist()
 
         # one row per burst a vehicle reaches, vehicles in order, oldest
-        # burst first, positions in bits served since t0: (vehicle, where
-        # the head packet ends less one full packet, so that whole packets
-        # finished are (served - it) // full_bits, the packets that count
-        # can reach, where the short last packet ends or _NEVER when the
-        # head is the last, the run delay at tick t0, own-period flag)
+        # burst first: (vehicle, where the burst starts in bits served
+        # since t0, its packet count less one, its bits, the packets it had
+        # finished before t0, the run delay at tick t0, own-period flag)
         table = []
         first_row = []
         first_end = start_ms + (t0 + 1) * cfg.tick_ms
@@ -530,31 +515,26 @@ class NetworkEnv:
             first_row.append(len(table))
             offset = 0
             x_end = final[j]
-            for arrival, burst_period, left, head, last in queues[v]:
+            for arrival, burst_period, packets, size, sent in queues[v]:
                 if offset >= x_end:
                     break
-                size = head + (left - 2) * full_bits + last if left > 1 else head
-                table.append((
-                    j,
-                    offset + head - full_bits,
-                    max(left - 1, 1),
-                    offset + size if left > 1 else _NEVER,
-                    first_end - arrival,
-                    burst_period == period,
-                ))
-                offset += size
+                table.append((j, offset - sent, packets - 1, size, sent // full_bits,
+                              first_end - arrival, burst_period == period))
+                offset += size - sent
         first_row.append(len(table))
-        row_j, shifted, before_last, last_end, delay0, _ = np.array(table, dtype=np.int64).reshape(-1, 6).T
-        # packets of each burst finished by the end of each tick: (rows, k)
-        y = served.T[row_j]
-        done = np.minimum(np.maximum(y - shifted[:, None], 0) // full_bits, before_last[:, None])
-        done += y >= last_end[:, None]
-        sent = done.copy()
-        sent[:, 1:] -= done[:, :-1]
+        row_j, start, before_last, size, done0, delay0, _ = np.array(table, dtype=np.int64).reshape(-1, 7).T
+        # packets of each burst finished since t0 by the end of each tick,
+        # (rows, k); served bits may start short of a burst or run past it
+        y = np.maximum(served.T[row_j] - start[:, None], 0)
+        done = np.minimum(y // full_bits, before_last[:, None])
+        done += y >= size[:, None]
+        done -= done0[:, None]
+        per_tick = done.copy()
+        per_tick[:, 1:] -= done[:, :-1]
         # one (delay, packets) run per burst and tick: row-major order is
         # per vehicle, oldest burst first, which is delivery order because
         # a vehicle's bursts drain one after another
-        flat = sent.ravel()
+        flat = per_tick.ravel()
         hits = np.flatnonzero(flat)
         rows, ticks_in = np.divmod(hits, k)
         pairs = np.empty(2 * hits.size, dtype=np.int64)
@@ -570,20 +550,13 @@ class NetworkEnv:
             queue_bits[v] -= x_end
             q = queues[v]
             for r in range(first_row[j], first_row[j + 1]):
-                finished = got[r]
-                _, shift, _, end, _, own = table[r]
+                _, burst_start, _, burst_bits, _, _, own = table[r]
                 if own:
-                    cohort_delivered[v] += finished
-                burst = q[0]
-                left = burst[_LEFT]
-                if finished == left:
+                    cohort_delivered[v] += got[r]
+                if x_end - burst_start < burst_bits:
+                    q[0][_SENT] = x_end - burst_start
+                else:
                     q.popleft()
-                    continue
-                # the packet now in transmission is the burst's packet
-                # finished + 1, short only if it is the last
-                boundary = end if finished + 1 == left > 1 else shift + (finished + 1) * full_bits
-                burst[_HEAD] = boundary - x_end
-                burst[_LEFT] = left - finished
         return t0 + k, sum(got)
 
     # -- the control-period step ---------------------------------------
@@ -675,9 +648,9 @@ class NetworkEnv:
                 if not q:
                     continue
                 while q and q[0][_ARRIVAL] < cutoff:
-                    _, _, left, head, last = q.popleft()
-                    dropped += left
-                    queue_bits[v] -= head if left == 1 else head + (left - 2) * full_bits + last
+                    _, _, packets, size, sent = q.popleft()
+                    dropped += packets - sent // full_bits
+                    queue_bits[v] -= size - sent
                 if queue_bits[v] > 0 and tick_eff[v] > 0.0:
                     needs[v] = math.ceil(queue_bits[v] / (re_sym * tick_eff[v]))
             # at an equal share of symbols_per_tick / m, the smallest need
@@ -730,35 +703,24 @@ class NetworkEnv:
                 q = queues[v]
                 runs = delay_runs[v]
                 while q:
+                    # the tick's bits carry from burst to burst, oldest first
                     burst = q[0]
-                    head = burst[_HEAD]
-                    if bits < head:
-                        burst[_HEAD] = head - bits
+                    arrival, burst_period, packets, size, sent = burst
+                    after = sent + bits
+                    if after < size:
+                        finished = after // full_bits - sent // full_bits
+                        burst[_SENT] = after
+                    else:
+                        finished = packets - sent // full_bits
+                        q.popleft()
+                    if finished:
+                        runs += (now_end - arrival, finished)
+                        delivered += finished
+                        if burst_period == period:
+                            cohort_delivered[v] += finished
+                    if after <= size:
                         break
-                    # finish the head, then whole full-size packets, then
-                    # the short last packet if the budget still covers it
-                    bits -= head
-                    left = burst[_LEFT] - 1
-                    sent = 1
-                    if left > 1:
-                        whole = min(bits // full_bits, left - 1)
-                        bits -= whole * full_bits
-                        left -= whole
-                        sent += whole
-                    if left == 1 and bits >= burst[_LAST]:
-                        bits -= burst[_LAST]
-                        left = 0
-                        sent += 1
-                    runs += (now_end - burst[_ARRIVAL], sent)
-                    delivered += sent
-                    if burst[_PERIOD] == period:
-                        cohort_delivered[v] += sent
-                    if left:
-                        # the budget ran out inside the next packet
-                        burst[_LEFT] = left
-                        burst[_HEAD] = (full_bits if left > 1 else burst[_LAST]) - bits
-                        break
-                    q.popleft()
+                    bits = after - size
             t += 1
 
         self._rr_counter = rr + ticks

@@ -186,6 +186,8 @@ def _run_episodes(config, phase, episodes, policy_for, label, output_dir, agent=
     """
     if episodes < 1:
         raise ValueError(f"{phase} phase needs at least one episode, got {episodes}")
+    if any(c in str(label) for c in "\r\n"):
+        raise ValueError(f"policy label {label!r} must not hold a line break")
     base_seed = config.sim.rng_seed
     env = NetworkEnv(config.sim)
     rng = np.random.default_rng(np.random.SeedSequence([base_seed, 100 + _PHASE_CODES[phase]]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 
 
 @dataclass
@@ -31,6 +31,7 @@ class RewardParams:
         self.validate()
 
     def validate(self) -> None:
+        check_finite(self)
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.delta_m_ms <= 0:

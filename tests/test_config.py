@@ -6,8 +6,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pqossim.config import SECTIONS, apply_kv, default_config, load_config, serialize
+from pqossim.dqn import AgentConfig
 from pqossim.env import SimConfig
 from pqossim.errors import ConfigError
+from pqossim.reward import RewardParams
 
 
 def test_paper_profile_defaults():
@@ -185,6 +187,18 @@ def test_sim_config_rejects_non_finite_fields():
             SimConfig(**{name: value})
     with pytest.raises(ConfigError, match="control_period_ms must divide"):
         SimConfig(episode_duration_s=1e306)
+
+
+@pytest.mark.parametrize("cls", [SimConfig, AgentConfig, RewardParams])
+def test_every_float_field_rejects_non_finite_values(cls):
+    # the library API gets no parser in front of it, so each config class
+    # checks its own float fields
+    names = [f.name for f in dataclasses.fields(cls) if f.type == "float"]
+    assert names
+    for name in names:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value}$"):
+                cls(**{name: value})
 
 
 def test_agent_errors_surface_as_config_errors(tmp_path):

@@ -15,7 +15,8 @@ _CONFIGS = st.builds(
     SimConfig,
     n_vehicles=st.integers(1, 6),
     frame_rate_hz=st.floats(2.0, 40.0),
-    packet_size_bytes=st.integers(200, 12_000),
+    # up to 40 KB, so that frames of the 17 KB mode often fit in one packet
+    packet_size_bytes=st.integers(200, 40_000),
     queue_drop_ms=st.floats(1.0, 500.0),
     symbols_per_tick=st.integers(1, 30),
     bandwidth_mhz=st.floats(5.0, 100.0),
@@ -83,7 +84,7 @@ _STRETCH_CONFIGS = st.builds(
     queue_drop_ms=st.floats(1.0, 500.0).filter(lambda d: d != int(d)),
     tick_ms=st.sampled_from([1, 2, 5]),
     tx_power_dbm=st.one_of(st.just(23.0), st.floats(-25.0, 0.0)),
-    packet_size_bytes=st.integers(200, 12_000),
+    packet_size_bytes=st.integers(200, 40_000),
     symbols_per_tick=st.integers(1, 30),
     bandwidth_mhz=st.floats(5.0, 100.0),
     episode_duration_s=st.just(0.6),  # 6 periods

@@ -1,4 +1,5 @@
 import csv
+import re
 import shutil
 from collections import Counter
 
@@ -274,6 +275,19 @@ def test_records_outlive_their_directory(tmp_path):
     emit_figures_csv(first, tmp_path / "again")
     for name in FIGURE_FILES:
         assert (tmp_path / "again" / name).read_bytes() == (kept / name).read_bytes()
+
+
+@pytest.mark.parametrize("label", ["two\nlines", "two\rlines"])
+def test_a_label_with_a_line_break_is_rejected_before_any_file_opens(tmp_path, label):
+    # a quoted label spanning two lines would shift every later row's line
+    # away from the range its record reports
+    class TwoLines(ConstantPolicy):
+        name = label
+
+    out = tmp_path / "t"
+    with pytest.raises(ValueError, match=re.escape(f"policy label {label!r} must not hold a line break")):
+        run_test(tiny_config(), out, TwoLines(1452))
+    assert not (out / "records.csv").exists()
 
 
 def test_failed_write_leaves_the_earlier_outputs_whole(tmp_path, monkeypatch):
