@@ -10,7 +10,7 @@ from .dqn import AgentConfig, DqnAgent, QNetwork, ReplayBuffer, Transition, forw
 from .env import NetworkEnv, SimConfig, StepKpis, state_vector
 from .errors import CheckpointError, ConfigError
 from .harness import run_offline_training, run_online_training, run_test, emit_figures_csv
-from .link import DEFAULT_MCS_TABLE, McsTable, sinr_to_mcs
+from .link import DEFAULT_MCS_TABLE, McsTable
 from .modes import (
     AGENT_ACTION_IDS,
     AGENT_ACTION_MODES,
@@ -71,6 +71,5 @@ __all__ = [
     "run_online_training",
     "run_test",
     "select_action",
-    "sinr_to_mcs",
     "state_vector",
 ]

@@ -43,15 +43,17 @@ def _build_config(args, phase: str) -> cfgmod.ExperimentConfig:
         config = cfgmod.load_config(args.config, profile=args.profile)
     else:
         config = cfgmod.default_config(args.profile)
-    if args.seed is not None:
-        config.sim.rng_seed = args.seed
-        config.agent.rng_seed = args.seed
-    if args.alpha is not None:
-        cfgmod.apply_kv(config, "reward.alpha", repr(args.alpha))
-    if args.vehicles is not None:
-        config.sim.n_vehicles = args.vehicles
-    if args.episodes is not None:
-        setattr(config.run, f"{phase}_episodes", args.episodes)
+    # a flag sets its key by the config file's own parse rule
+    flags = {
+        "sim.rng_seed": args.seed,
+        "agent.rng_seed": args.seed,
+        "reward.alpha": args.alpha,
+        "sim.n_vehicles": args.vehicles,
+        f"run.{phase}_episodes": args.episodes,
+    }
+    for key, value in flags.items():
+        if value is not None:
+            cfgmod.apply_kv(config, key, repr(value))
     cfgmod.validate(config)
     return config
 
@@ -64,8 +66,8 @@ def _write_resolved(config, out: Path) -> None:
 
 def _cmd_train(args) -> int:
     config = _build_config(args, args.phase)
-    _write_resolved(config, args.out)
     agent = DqnAgent.load(args.checkpoint, config.agent) if args.checkpoint else None
+    _write_resolved(config, args.out)
     train = run_offline_training if args.phase == "offline" else run_online_training
     train(config, args.out, agent)
     episodes = getattr(config.resolved_run(), f"{args.phase}_episodes")

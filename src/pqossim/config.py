@@ -19,6 +19,7 @@ from pathlib import Path
 from .dqn import AgentConfig
 from .env import SimConfig
 from .errors import ConfigError
+from .link import load_mcs_table
 from .reward import RewardParams
 
 PROFILES = ("quick", "paper")
@@ -78,7 +79,7 @@ SECTIONS = {
     ),
     "channel": (
         "sim",
-        ("pathloss_exponent", "shadowing_sigma_db", "shadowing_corr", "cell_radius_m", "mcs_table_path"),
+        ("pathloss_exponent", "shadowing_sigma_db", "shadowing_corr", "mcs_table_path"),
     ),
     "mobility": ("sim", ("route_half_length_m", "route_half_width_m", "speed_mps")),
     "traffic": ("sim", ("packet_size_bytes", "queue_drop_ms", "payload_cv")),
@@ -171,6 +172,10 @@ def validate(config: ExperimentConfig) -> None:
         if episodes is not None and episodes < 1:
             raise ConfigError(f"run.{key} must be >= 1, got {episodes}")
     config.sim.validate()
+    if config.sim.mcs_table_path:
+        # NetworkEnv reads the table again; reading it here rejects a bad
+        # one before a run writes anything
+        load_mcs_table(config.sim.mcs_table_path)
     try:
         config.agent.validate()
     except ValueError as exc:

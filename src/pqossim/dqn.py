@@ -326,19 +326,14 @@ class DqnAgent:
         """MSE loss at the taken actions and its parameter gradients.
 
         The gradients are aligned with `parameters()`: views into one
-        fresh vector, see `_loss_and_grad_vector`.
+        fresh vector laid out like `online.flat`.
         """
-        loss, grad = self._loss_and_grad_vector(states, actions, targets)
-        return loss, self.online.views(grad)
-
-    def _loss_and_grad_vector(self, states, actions, targets):
-        """MSE loss and its gradient as one vector laid out like `online.flat`."""
         net = self.online
         outs, pre = _workspace(states, np.shape(states)[:1], net.layer_sizes)
         _layers(net.weights, net.biases, outs, pre)
-        grad = np.empty_like(net.flat)
-        loss = self._backprop(outs, pre, (), actions, targets, net.views(grad))
-        return loss, grad
+        grads = net.views(np.empty_like(net.flat))
+        loss = self._backprop(outs, pre, (), actions, targets, grads)
+        return loss, grads
 
     def _backprop(self, outs, pre, at, actions, targets, grads) -> float:
         """MSE loss at the taken actions; writes its gradient into `grads`.
@@ -435,7 +430,7 @@ class DqnAgent:
             out[f"adam_v{i}"] = v
         return out
 
-    def save(self, path, action_mode_ids=AGENT_ACTION_IDS) -> None:
+    def save(self, path) -> None:
         """Write a versioned checkpoint; round-trips bit-exact.
 
         The file is written beside `path` and renamed over it, so a write
@@ -445,7 +440,7 @@ class DqnAgent:
             "format_version": np.int64(CHECKPOINT_FORMAT_VERSION),
             "layer_sizes": np.asarray(self.online.layer_sizes, dtype=np.int64),
             "step_count": np.int64(self.step_count),
-            "action_mode_ids": np.asarray(action_mode_ids, dtype=np.int64),
+            "action_mode_ids": np.asarray(AGENT_ACTION_IDS, dtype=np.int64),
         }
         data.update(self._checkpoint_arrays())
         # a file handle, since np.savez appends ".npz" to a bare path
@@ -457,9 +452,11 @@ class DqnAgent:
         """Read a checkpoint written by `save`; a torn file, a malformed field, another
         format or shape, or an action mapping other than AGENT_ACTION_IDS is a CheckpointError."""
         try:
-            with np.load(path, allow_pickle=False) as npz:
+            # np.load leaves a file it opened itself open when zipfile raises,
+            # and reads a bare .npy file as an array, no context manager (TypeError)
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
                 data = dict(npz)
-        except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile) as exc:
+        except (OSError, ValueError, EOFError, NotImplementedError, TypeError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
         try:
             version = int(data["format_version"])

@@ -44,6 +44,9 @@ _RE_PER_SYMBOL_PER_MHZ = 1596.0 / 50.0
 
 _STATE_SIZE = 8
 
+# Radius of the cell around the gNB; every corner of the route lies inside it.
+_CELL_RADIUS_M = 240.0
+
 # The scalar tick loop hands a tick to `NetworkEnv._drain_stretch` only
 # when the stretch starting there is expected to cover at least this many
 # vehicle-ticks (ticks x schedulable vehicles). On a 2-CPU x86 VM a scalar
@@ -85,7 +88,6 @@ class SimConfig:
     pathloss_exponent: float = 2.8
     shadowing_sigma_db: float = 4.0
     shadowing_corr: float = 0.99
-    cell_radius_m: float = 240.0
     mcs_table_path: str = ""
     # mobility (rectangular loop centred on the gNB)
     route_half_length_m: float = 130.0
@@ -137,8 +139,8 @@ class SimConfig:
             raise ConfigError("shadowing_corr must be in [0, 1)")
         if self.route_half_length_m <= 0 or self.route_half_width_m <= 0:
             raise ConfigError("route dimensions must be > 0")
-        if math.hypot(self.route_half_length_m, self.route_half_width_m) > self.cell_radius_m:
-            raise ConfigError("route corner lies outside cell_radius_m")
+        if math.hypot(self.route_half_length_m, self.route_half_width_m) > _CELL_RADIUS_M:
+            raise ConfigError(f"route corner lies outside the {_CELL_RADIUS_M:g} m cell radius")
         if self.speed_mps < 0:
             raise ConfigError("speed_mps must be >= 0")
         if self.packet_size_bytes < 1:
@@ -253,15 +255,10 @@ class NetworkEnv:
     `done`. All randomness comes from streams derived from the reset seed.
     """
 
-    def __init__(self, config: SimConfig, mcs_table: McsTable | None = None):
+    def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        if mcs_table is not None:
-            self.mcs_table = mcs_table
-        elif config.mcs_table_path:
-            self.mcs_table = load_mcs_table(config.mcs_table_path)
-        else:
-            self.mcs_table = McsTable()
+        self.mcs_table = load_mcs_table(config.mcs_table_path) if config.mcs_table_path else McsTable()
         self._full_bits = config.packet_size_bytes * 8
         self._frame_interval_ms = 1000.0 / config.frame_rate_hz
         # the route as four segments counterclockwise from (a, -b): right
@@ -305,7 +302,6 @@ class NetworkEnv:
         self._queue_bits = [0] * n
         self._step_count = 0
         self._block_start = self._block_end = 0
-        self._rr_counter = 0
         self.total_generated = 0
         self.total_delivered = 0
         self.total_dropped = 0
@@ -622,7 +618,8 @@ class NetworkEnv:
         delivered = 0
         dropped = 0
 
-        rr = self._rr_counter
+        # the round-robin offset advances one per tick from the episode's start
+        rr = period * ticks
         arrival_ticks = sorted(arrivals)
         scalar_until = 0
         t = 0
@@ -723,7 +720,6 @@ class NetworkEnv:
                     bits = after - size
             t += 1
 
-        self._rr_counter = rr + ticks
         self.total_delivered += delivered
         self.total_dropped += dropped
 

@@ -71,26 +71,22 @@ class McsTable:
         return idx.astype(np.int64), eff
 
 
-_DEFAULT = McsTable()
-
-
-def sinr_to_mcs(sinr_db: float, table: McsTable | None = None) -> tuple[int, float]:
-    """Map one SINR value to (mcs_index, spectral efficiency in bits/RE)."""
-    if not np.isfinite(sinr_db):
-        raise ValueError(f"sinr_db must be finite, got {sinr_db}")
-    tab = _DEFAULT if table is None else table
-    idx, eff = tab.lookup(float(sinr_db))
-    return int(idx), float(eff)
-
-
 def load_mcs_table(path) -> McsTable:
-    """Load a threshold table from a text file of 'min_sinr_db efficiency' rows."""
-    with open(path) as fh:
-        text = fh.read()
+    """Load a threshold table from a text file of 'min_sinr_db efficiency' rows.
+
+    A file that cannot be opened or read as text (missing, a directory, a
+    name holding NUL, bytes that do not decode) is a ConfigError too.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigError(f"{path}: cannot read MCS table: {exc}") from exc
     if not text.strip():
         raise ConfigError(f"{path}: MCS table file is empty")
     try:
-        raw = np.loadtxt(text.splitlines(), dtype=np.float64, ndmin=2)
+        return McsTable(np.loadtxt(text.splitlines(), dtype=np.float64, ndmin=2))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed MCS table: {exc}") from exc
-    return McsTable(raw)

@@ -10,8 +10,6 @@ build cannot silently misread saved weights.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .dqn import DqnAgent, QNetwork, select_action
 from .modes import AGENT_ACTION_MODES, ApplicationMode, mode_from_id
 
@@ -42,8 +40,7 @@ class DqlGreedyPolicy:
         self.name = "dql"
 
     def decide(self, state, rng) -> ApplicationMode:
-        q = self.net.forward(np.asarray(state, dtype=np.float64))
-        return AGENT_ACTION_MODES[int(np.argmax(q))]
+        return AGENT_ACTION_MODES[select_action(self.net, state, 0.0, rng)]
 
 
 class DqlTrainingPolicy:
@@ -55,5 +52,4 @@ class DqlTrainingPolicy:
         self.name = "dql-training"
 
     def decide(self, state, rng) -> ApplicationMode:
-        a = select_action(self.agent.online, np.asarray(state, dtype=np.float64), self.epsilon, rng)
-        return AGENT_ACTION_MODES[a]
+        return AGENT_ACTION_MODES[select_action(self.agent.online, state, self.epsilon, rng)]

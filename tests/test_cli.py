@@ -349,3 +349,40 @@ def test_cli_rejects_bad_seeds_and_run_lengths_before_any_output(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be >= ") and err.count("\n") == 1, err
     assert not (tmp_path / "out" / "resolved_config.txt").exists()
+
+
+@pytest.mark.parametrize("table", ["missing", "directory", "malformed"])
+def test_cli_rejects_a_bad_mcs_table_before_any_output(tmp_path, capsys, table):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1.0 0.5\n0.5 0.7\n")  # thresholds not increasing
+    path = {"missing": tmp_path / "missing.txt", "directory": tmp_path, "malformed": bad}[table]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"channel.mcs_table_path = {path}\n")
+    out = tmp_path / "out"
+    for command in (["train-offline"], ["train-online"], ["test", "--policy", "constant:1452"]):
+        capsys.readouterr()
+        code = main([*command, "--config", str(cfg), "--profile", "quick", "--episodes", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ["missing", "junk", "npy"])
+def test_cli_rejects_a_bad_checkpoint_before_any_output(tmp_path, capsys, content):
+    checkpoint = tmp_path / "ckpt.npz"
+    if content == "junk":
+        checkpoint.write_bytes(b"junk")
+    elif content == "npy":
+        with open(checkpoint, "wb") as fh:
+            np.save(fh, np.arange(3))  # one bare array, not an archive
+    out = tmp_path / "out"
+    for command in (["train-offline"], ["train-online"], ["test", "--policy", "dql"]):
+        capsys.readouterr()
+        code = main(
+            [*command, "--profile", "quick", "--episodes", "1", "--checkpoint", str(checkpoint), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {checkpoint}: cannot read checkpoint") and err.count("\n") == 1, err
+        assert not out.exists()

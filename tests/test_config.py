@@ -86,6 +86,7 @@ run.test_episodes = 3
         "sim.n_vehicles",
         "reward.alpha = 2.0",
         "bounds.delay_bound_ms = 400.0",
+        "channel.cell_radius_m = 240.0",
     ],
 )
 def test_bad_config_lines_rejected(tmp_path, line):
@@ -114,7 +115,7 @@ def test_every_field_has_exactly_one_key():
     assert len(owners) == len(set(owners))
     groups = ("sim", "agent", "reward", "run")
     assert set(owners) == {(g, f.name) for g in groups for f in dataclasses.fields(getattr(cfg, g))}
-    assert len(owners) == 40
+    assert len(owners) == 39
 
 
 def _another_valid_value(value):
@@ -128,8 +129,16 @@ def _another_valid_value(value):
 def test_serialize_roundtrips_a_changed_value_for_every_key(tmp_path):
     cfg = default_config("quick")
     default_text = serialize(cfg)
-    # the timing keys must keep dividing each other
-    changed = {"sim.control_period_ms": 50, "sim.tick_ms": 2, "sim.episode_duration_s": 10.0}
+    # the timing keys must keep dividing each other, and validation reads
+    # the MCS table, so its path must name one
+    table = tmp_path / "mcs.txt"
+    table.write_text("1.0 0.5\n")
+    changed = {
+        "sim.control_period_ms": 50,
+        "sim.tick_ms": 2,
+        "sim.episode_duration_s": 10.0,
+        "channel.mcs_table_path": table,
+    }
     for section, (attr, keys) in SECTIONS.items():
         group = cfg.resolved_run() if attr == "run" else getattr(cfg, attr)
         for key in keys:

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -267,6 +269,28 @@ def test_batch_larger_than_the_replay_ring_rejected():
     AgentConfig(batch_size=10, replay_capacity=10)  # one full ring is one batch
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("learning_rate", 0.0),
+        ("weight_decay", -1e-3),
+        ("batch_size", 0),
+        ("replay_capacity", 0),
+        ("target_sync_period", 0),
+    ],
+)
+def test_invalid_agent_config_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        AgentConfig(**{field: value})
+
+
+def test_degenerate_network_and_ring_rejected():
+    with pytest.raises(ValueError, match="at least an input and an output layer"):
+        QNetwork((8,))
+    with pytest.raises(ValueError, match="capacity must be >= 1"):
+        ReplayBuffer(0)
+
+
 def test_target_network_staleness_and_sync():
     agent = agent_with(target_sync_period=5, learning_rate=1e-2)
     rng = np.random.default_rng(10)
@@ -493,6 +517,8 @@ def test_wrong_shape_checkpoint_array_rejected(tmp_path):
         ("layer_sizes", np.array([8, -1, 3])),
         ("action_mode_ids", np.array(1450)),
         ("step_count", np.array([1, 2])),
+        ("format_version", np.int64(2)),
+        ("adam_v3", None),  # missing
     ],
 )
 def test_malformed_checkpoint_field_rejected(tmp_path, field, value):
@@ -500,7 +526,10 @@ def test_malformed_checkpoint_field_rejected(tmp_path, field, value):
     agent_with().save(path)
     with np.load(path) as data:
         arrays = dict(data)
-    arrays[field] = value
+    if value is None:
+        del arrays[field]
+    else:
+        arrays[field] = value
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(CheckpointError) as caught:
@@ -518,8 +547,12 @@ def test_corrupt_checkpoint_rejected(tmp_path):
     while at >= 0:
         unknown[at + 10 : at + 12] = (99).to_bytes(2, "little")
         at = unknown.find(b"PK\x01\x02", at + 4)
-    # garbage, the torn copies a killed write leaves, then the unknown method
-    for content in (b"this is not a checkpoint", whole[: len(whole) // 2], whole[:-30], b"", bytes(unknown)):
+    # a bare .npy array
+    npy = io.BytesIO()
+    np.save(npy, np.arange(3))
+    # garbage, the torn copies a killed write leaves, the unknown method, then the array
+    contents = (b"this is not a checkpoint", whole[: len(whole) // 2], whole[:-30], b"", bytes(unknown), npy.getvalue())
+    for content in contents:
         path.write_bytes(content)
         with pytest.raises(CheckpointError):
             DqnAgent.load(path, AgentConfig())

@@ -5,7 +5,6 @@ import pytest
 
 from pqossim.env import NetworkEnv, SimConfig, StepKpis, state_vector
 from pqossim.errors import ConfigError
-from pqossim.link import McsTable
 from pqossim.modes import MODE_1450, MODE_1451, MODE_1452, MODE_RAW
 
 
@@ -13,6 +12,13 @@ def quick_cfg(**kwargs) -> SimConfig:
     defaults = dict(n_vehicles=1, episode_duration_s=2.0, rng_seed=11)
     defaults.update(kwargs)
     return SimConfig(**defaults)
+
+
+def table_cfg(tmp_path, table, **kwargs) -> SimConfig:
+    """A quick_cfg whose MCS table is read from a file holding `table`'s rows."""
+    path = tmp_path / "mcs.txt"
+    np.savetxt(path, table)
+    return quick_cfg(mcs_table_path=str(path), **kwargs)
 
 
 def run_steps(env, actions, n_steps, seed=None):
@@ -146,12 +152,11 @@ def test_work_conservation_under_congestion():
     assert env.scheduler_idle_violations == 0
 
 
-def test_outage_starves_queue_and_saturates_delay_features():
+def test_outage_starves_queue_and_saturates_delay_features(tmp_path):
     # a table whose lowest threshold is unreachable keeps every vehicle in
     # outage: nothing is ever delivered
-    table = McsTable(np.array([[1000.0, 1.0]]))
-    cfg = quick_cfg()
-    env = NetworkEnv(cfg, mcs_table=table)
+    cfg = table_cfg(tmp_path, [[1000.0, 1.0]])
+    env = NetworkEnv(cfg)
     env.reset(10)
     states, kpis, _ = env.step([MODE_1452])
     k = kpis[0]
@@ -167,11 +172,10 @@ def test_outage_starves_queue_and_saturates_delay_features():
     assert np.all((states >= 0.0) & (states <= 1.0))
 
 
-def test_delay_features_saturate_at_the_drop_bound():
+def test_delay_features_saturate_at_the_drop_bound(tmp_path):
     # delays saturate at queue_drop_ms, which is also their scale: a period
     # that delivers nothing reads exactly 1.0 however short the bound
-    table = McsTable(np.array([[1000.0, 1.0]]))
-    env = NetworkEnv(quick_cfg(queue_drop_ms=100.0), mcs_table=table)
+    env = NetworkEnv(table_cfg(tmp_path, [[1000.0, 1.0]], queue_drop_ms=100.0))
     env.reset(10)
     states, kpis, _ = env.step([MODE_1452])
     assert kpis[0].packets_delivered == 0
@@ -287,15 +291,20 @@ def test_step_lifecycle_errors():
         ("bandwidth_mhz", 0.0),
         ("bandwidth_mhz", 0.01),  # rounds to 0 resource elements per symbol
         ("bandwidth_mhz", 1e308),  # overflows them
+        ("noise_figure_db", -1.0),
+        ("episode_duration_s", 0.0),
         ("control_period_ms", 0),
         ("control_period_ms", 33),  # 33 not divisible into 2000 ms
         ("tick_ms", 3),  # does not divide 100
         ("frame_rate_hz", 0.0),
         ("pathloss_exponent", -1.0),
+        ("shadowing_sigma_db", -1.0),
         ("shadowing_corr", 1.0),
         ("route_half_length_m", 500.0),  # outside cell radius
+        ("speed_mps", -1.0),
         ("packet_size_bytes", 0),
         ("queue_drop_ms", 0.0),
+        ("payload_cv", -0.1),
         ("symbols_per_tick", 0),
         ("sinr_min_db", 41.0),
     ],
@@ -317,20 +326,21 @@ def test_config_independent_instances():
 
 
 @pytest.mark.parametrize("rows", [10, 20])
-def test_mcs_feature_reaches_one_at_the_table_top(rows):
+def test_mcs_feature_reaches_one_at_the_table_top(tmp_path, rows):
     # every threshold lies far below the cell's SINR: each tick sits at the
     # table's top index, which must map to exactly 1.0 whatever the length
-    table = McsTable(np.column_stack([np.linspace(-40.0, -20.0, rows), np.linspace(0.5, 6.0, rows)]))
-    env = NetworkEnv(quick_cfg(n_vehicles=2), mcs_table=table)
+    table = np.column_stack([np.linspace(-40.0, -20.0, rows), np.linspace(0.5, 6.0, rows)])
+    env = NetworkEnv(table_cfg(tmp_path, table, n_vehicles=2))
     env.reset(19)
     states, kpis, _ = env.step([MODE_1452, MODE_1452])
     assert [k.mcs_index for k in kpis] == [rows - 1] * 2
     assert np.all(states[:, 0] == 1.0)
 
 
-def test_mcs_feature_scales_by_the_table_top_index():
-    table = McsTable(np.column_stack([np.linspace(0.0, 60.0, 20), np.linspace(0.5, 6.0, 20)]))
-    env = NetworkEnv(quick_cfg(n_vehicles=3, episode_duration_s=1.0), mcs_table=table)
+def test_mcs_feature_scales_by_the_table_top_index(tmp_path):
+    table = np.column_stack([np.linspace(0.0, 60.0, 20), np.linspace(0.5, 6.0, 20)])
+    env = NetworkEnv(table_cfg(tmp_path, table, n_vehicles=3, episode_duration_s=1.0))
+    assert env.mcs_table.index_max == 19
     env.reset(20)
     seen = set()
     while not env.done:

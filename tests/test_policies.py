@@ -4,7 +4,7 @@ import pytest
 from pqossim.dqn import AgentConfig, DqnAgent, QNetwork
 from pqossim.env import SimConfig
 from pqossim.errors import CheckpointError
-from pqossim.modes import AGENT_ACTION_IDS, AGENT_ACTION_MODES, MODE_1451, mode_from_id
+from pqossim.modes import AGENT_ACTION_IDS, AGENT_ACTION_MODES, MODE_1451, ApplicationMode, mode_from_id
 from pqossim.policies import ConstantPolicy, DqlGreedyPolicy, DqlTrainingPolicy
 
 
@@ -87,7 +87,12 @@ def test_greedy_from_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_with_wrong_mapping_rejected(tmp_path):
     agent = DqnAgent(AgentConfig(rng_seed=8))
     path = tmp_path / "ckpt.npz"
-    agent.save(path, action_mode_ids=(1450, 1452, 1451))  # reordered
+    agent.save(path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["action_mode_ids"] = np.array([1450, 1452, 1451])  # reordered
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
     with pytest.raises(CheckpointError):
         DqlGreedyPolicy(DqnAgent.load(path, AgentConfig()).online)
 
@@ -102,3 +107,11 @@ def test_mode_lookup():
     assert mode_from_id(0).mean_payload_kb == 3200.0
     with pytest.raises(ValueError):
         mode_from_id(1449)
+
+
+@pytest.mark.parametrize(
+    "payload_kb,cd_sym,message", [(0.0, 1.0, "mean_payload_kb must be > 0"), (10.0, -0.1, "cd_sym must be >= 0")]
+)
+def test_invalid_application_mode_rejected(payload_kb, cd_sym, message):
+    with pytest.raises(ValueError, match=message):
+        ApplicationMode(9, payload_kb, cd_sym)
