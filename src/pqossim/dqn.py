@@ -29,7 +29,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -302,7 +302,6 @@ class DqnAgent:
         self.step_count = 0
         # Adam moments laid out like `online.flat`: row 0 is m, row 1 is v
         self._moments = np.zeros_like(self._params)
-        self._adam_m, self._adam_v = self._moments
         # train_batch workspaces: every layer's stacked pass on one input
         # (1, 2, B, n_inputs) holding (next_state, state), the gradient
         # (row 0) and its square (row 1), and the AdamW scratch. Stacked
@@ -416,33 +415,22 @@ class DqnAgent:
 
     # -- persistence -------------------------------------------------------
 
-    def _checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        """Checkpoint key -> live view of every parameter and moment tensor."""
-        out = {}
-        for prefix, net in (("", self.online), ("target_", self.target)):
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                out[f"{prefix}w{i}"] = w
-                out[f"{prefix}b{i}"] = b
-        # moment arrays follow the parameter order: w0, b0, w1, b1, ...
-        moments = zip(self.online.views(self._adam_m), self.online.views(self._adam_v))
-        for i, (m, v) in enumerate(moments):
-            out[f"adam_m{i}"] = m
-            out[f"adam_v{i}"] = v
-        return out
-
     def save(self, path) -> None:
         """Write a versioned checkpoint; round-trips bit-exact.
 
-        The file is written beside `path` and renamed over it, so a write
-        that dies midway leaves any earlier checkpoint whole.
+        Besides the header, the file holds `params` and `moments`, the
+        agent's two (2, P) arrays as they are. The file is written beside
+        `path` and renamed over it, so a write that dies midway leaves any
+        earlier checkpoint whole.
         """
         data = {
             "format_version": np.int64(CHECKPOINT_FORMAT_VERSION),
             "layer_sizes": np.asarray(self.online.layer_sizes, dtype=np.int64),
             "step_count": np.int64(self.step_count),
             "action_mode_ids": np.asarray(AGENT_ACTION_IDS, dtype=np.int64),
+            "params": self._params,
+            "moments": self._moments,
         }
-        data.update(self._checkpoint_arrays())
         # a file handle, since np.savez appends ".npz" to a bare path
         with atomic_open(path, "wb") as fh:
             np.savez(fh, **data)
@@ -450,7 +438,8 @@ class DqnAgent:
     @classmethod
     def load(cls, path, config: AgentConfig) -> "DqnAgent":
         """Read a checkpoint written by `save`; a torn file, a malformed field, another
-        format or shape, or an action mapping other than AGENT_ACTION_IDS is a CheckpointError."""
+        format or shape, an action mapping other than AGENT_ACTION_IDS, or a network
+        that does not map the state to those actions is a CheckpointError."""
         try:
             # np.load leaves a file it opened itself open when zipfile raises,
             # and reads a bare .npy file as an array, no context manager (TypeError)
@@ -466,15 +455,21 @@ class DqnAgent:
             if ids != AGENT_ACTION_IDS:
                 raise ValueError(f"checkpoint action mapping {ids} != expected {AGENT_ACTION_IDS}")
             sizes = tuple(int(s) for s in data["layer_sizes"])
+            # hidden layers are free; the ends must fit the state and the mapping
+            ends = (DEFAULT_LAYER_SIZES[0], len(AGENT_ACTION_IDS))
+            if sizes[:1] + sizes[-1:] != ends:
+                raise ValueError(f"checkpoint network {sizes} does not map {ends[0]} features to {ends[1]} actions")
+            step_count = int(data["step_count"])
+            if step_count < 0:
+                raise ValueError(f"checkpoint step_count {step_count} < 0")
             agent = cls(config, layer_sizes=sizes)
-            agent.step_count = int(data["step_count"])
-            # write into the live views, so weights, biases and moments stay
-            # windows on their flat vectors
-            for key, view in agent._checkpoint_arrays().items():
-                arr = np.asarray(data[key], dtype=np.float64)
-                if arr.shape != view.shape:
-                    raise ValueError(f"{key} has shape {arr.shape}, expected {view.shape}")
-                np.copyto(view, arr)
+            agent.step_count = step_count
+            # copy into the live rows, so every network, weight and moment
+            # view stays a window on them
+            for key, live in (("params", agent._params), ("moments", agent._moments)):
+                if data[key].shape != live.shape:
+                    raise ValueError(f"{key} has shape {data[key].shape}, expected {live.shape}")
+                np.copyto(live, data[key])
             return agent
         except KeyError as exc:
             raise CheckpointError(f"{path}: checkpoint missing field {exc}") from exc

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pqossim.cli import main
+from pqossim.dqn import DEFAULT_LAYER_SIZES, AgentConfig, DqnAgent
 from pqossim.harness import FIGURE_FILES
 
 
@@ -368,7 +369,27 @@ def test_cli_rejects_a_bad_mcs_table_before_any_output(tmp_path, capsys, table):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("content", ["missing", "junk", "npy"])
+def _rewrite(path, layer_sizes=DEFAULT_LAYER_SIZES, **fields) -> None:
+    """Save a fresh agent's checkpoint at `path`, with `fields` put in its arrays."""
+    DqnAgent(AgentConfig(), layer_sizes).save(path)
+    with np.load(path) as data:
+        arrays = {**data, **fields}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+# content -> what the one error line says after the path
+BAD_CHECKPOINTS = {
+    "missing": "cannot read checkpoint",
+    "junk": "cannot read checkpoint",
+    "npy": "cannot read checkpoint",
+    "version-1": "unsupported checkpoint version 1",
+    "other-network": "checkpoint network (5, 12, 6, 3) does not map 8 features to 3 actions",
+    "negative-step": "checkpoint step_count -3 < 0",
+}
+
+
+@pytest.mark.parametrize("content", BAD_CHECKPOINTS)
 def test_cli_rejects_a_bad_checkpoint_before_any_output(tmp_path, capsys, content):
     checkpoint = tmp_path / "ckpt.npz"
     if content == "junk":
@@ -376,6 +397,12 @@ def test_cli_rejects_a_bad_checkpoint_before_any_output(tmp_path, capsys, conten
     elif content == "npy":
         with open(checkpoint, "wb") as fh:
             np.save(fh, np.arange(3))  # one bare array, not an archive
+    elif content == "version-1":
+        _rewrite(checkpoint, format_version=np.int64(1))
+    elif content == "other-network":
+        _rewrite(checkpoint, layer_sizes=(5, 12, 6, 3))  # a whole agent of another cell
+    elif content == "negative-step":
+        _rewrite(checkpoint, step_count=np.int64(-3))
     out = tmp_path / "out"
     for command in (["train-offline"], ["train-online"], ["test", "--policy", "dql"]):
         capsys.readouterr()
@@ -384,5 +411,5 @@ def test_cli_rejects_a_bad_checkpoint_before_any_output(tmp_path, capsys, conten
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {checkpoint}: cannot read checkpoint") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {checkpoint}: {BAD_CHECKPOINTS[content]}") and err.count("\n") == 1, err
         assert not out.exists()

@@ -362,7 +362,7 @@ def test_stacked_train_step_equals_the_per_network_reference(layer_sizes, batch_
         assert loss == ref_loss
         assert np.array_equal(agent.online.flat, ref.online.flat)
         assert np.array_equal(agent.target.flat, ref.target.flat)
-        assert np.array_equal(agent._adam_m, m) and np.array_equal(agent._adam_v, v)
+        assert np.array_equal(agent._moments[0], m) and np.array_equal(agent._moments[1], v)
     assert agent.step_count == 7
 
 
@@ -374,8 +374,6 @@ def test_networks_and_moments_are_rows_of_one_array():
     assert agent._params.shape == agent._moments.shape == (2, agent.online.flat.size)
     for row, view in enumerate((agent.online.flat, agent.target.flat)):
         assert np.shares_memory(view, agent._params[row]) and not np.shares_memory(view, agent._params[1 - row])
-    for row, view in enumerate((agent._adam_m, agent._adam_v)):
-        assert np.shares_memory(view, agent._moments[row]) and not np.shares_memory(view, agent._moments[1 - row])
     # a clone, or a fresh net filled by copy_from, owns its parameters
     twin = agent.online.clone()
     other = QNetwork(agent.online.layer_sizes)
@@ -455,8 +453,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(p1, p2)
     for p1, p2 in zip(agent.target.parameters(), loaded.target.parameters()):
         assert np.array_equal(p1, p2)
-    assert np.array_equal(agent._adam_m, loaded._adam_m)
-    assert np.array_equal(agent._adam_v, loaded._adam_v)
+    assert np.array_equal(agent._moments, loaded._moments)
     # training continues identically from the restored state
     batch = random_batch(np.random.default_rng(15))
     agent.train_batch(batch)
@@ -471,6 +468,30 @@ def test_checkpoint_records_action_mapping(tmp_path):
     agent.save(path)
     with np.load(path) as data:
         assert data["action_mode_ids"].tolist() == [1450, 1451, 1452]
+
+
+def test_checkpoint_holds_the_two_rows_as_they_are(tmp_path):
+    agent = agent_with(target_sync_period=2)
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        agent.train_batch(random_batch(rng))
+    path = tmp_path / "ckpt.npz"
+    agent.save(path)
+    with np.load(path) as data:
+        assert data.files == ["format_version", "layer_sizes", "step_count", "action_mode_ids", "params", "moments"]
+        assert int(data["format_version"]) == 2 and int(data["step_count"]) == 3
+        assert np.array_equal(data["params"], agent._params) and np.array_equal(data["moments"], agent._moments)
+
+
+@pytest.mark.parametrize("layer_sizes,fits", [((5, 12, 6, 3), False), ((8, 12, 6, 2), False), ((8, 16, 3), True)])
+def test_checkpoint_network_must_fit_the_state_and_the_actions(tmp_path, layer_sizes, fits):
+    path = tmp_path / "ckpt.npz"
+    DqnAgent(AgentConfig(), layer_sizes).save(path)
+    if fits:  # hidden layers are free
+        assert DqnAgent.load(path, AgentConfig()).online.layer_sizes == layer_sizes
+    else:
+        with pytest.raises(CheckpointError, match="does not map 8 features to 3 actions"):
+            DqnAgent.load(path, AgentConfig())
 
 
 def _shares_flat(net: QNetwork) -> bool:
@@ -503,7 +524,7 @@ def test_wrong_shape_checkpoint_array_rejected(tmp_path):
     agent.save(path)
     with np.load(path) as data:
         arrays = dict(data)
-    arrays["w1"] = np.zeros((6, 12))  # transposed
+    arrays["params"] = arrays["params"].T  # (P, 2)
     bad = tmp_path / "bad.npz"
     np.savez(bad, **arrays)
     with pytest.raises(CheckpointError, match="shape"):
@@ -517,8 +538,10 @@ def test_wrong_shape_checkpoint_array_rejected(tmp_path):
         ("layer_sizes", np.array([8, -1, 3])),
         ("action_mode_ids", np.array(1450)),
         ("step_count", np.array([1, 2])),
-        ("format_version", np.int64(2)),
-        ("adam_v3", None),  # missing
+        ("format_version", np.int64(1)),  # the per-tensor layout
+        ("format_version", np.int64(3)),
+        ("step_count", np.int64(-3)),
+        ("moments", None),  # missing
     ],
 )
 def test_malformed_checkpoint_field_rejected(tmp_path, field, value):

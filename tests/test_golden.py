@@ -96,7 +96,7 @@ def golden_run(tmp_path_factory):
     run_online_training(cfg, root / "online", agent=agent)
     learner = {
         "weights": weights_digest(agent),
-        "adam_moments": hashlib.sha256(agent._adam_m.tobytes() + agent._adam_v.tobytes()).hexdigest(),
+        "adam_moments": hashlib.sha256(agent._moments.tobytes()).hexdigest(),
     }
     run_test(cfg, root / "raw", ConstantPolicy(MODE_RAW))
     run_test(cfg, root / "mixed", _PerVehiclePolicy([MODE_RAW, MODE_1450, MODE_1451]))

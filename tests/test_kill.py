@@ -25,19 +25,38 @@ pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SI
 COMMAND = ["train-offline", "--profile", "quick", "--episodes", "3"]
 SRC = str(Path(pqossim.__file__).resolve().parents[1])
 
+# The child runs the CLI with a `np.savez` that writes half the archive,
+# flushes and hangs, so `checkpoint.npz.tmp` stays half written until the
+# kill. `DqnAgent.save` looks `np.savez` up at call time.
+CHILD = """
+import io, sys, time
+import numpy as np
+from pqossim.cli import main
+
+def half_savez(file, **arrays):
+    whole = io.BytesIO()
+    savez(whole, **arrays)
+    file.write(whole.getvalue()[: len(whole.getvalue()) // 2])
+    file.flush()
+    time.sleep(600)
+
+savez, np.savez = np.savez, half_savez
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 def _start(out: Path) -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.Popen(
-        [sys.executable, "-m", "pqossim.cli", *COMMAND, "--out", str(out)],
+        [sys.executable, "-c", CHILD, *COMMAND, "--out", str(out)],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
 
 
-def _kill_when(out: Path, ready, timeout_s: float = 20.0) -> bool:
-    """Start a run, SIGKILL it once `ready(names in out)` holds; False if it ended first."""
+def _kill_when(out: Path, ready, timeout_s: float = 60.0) -> bool:
+    """Start a run, SIGKILL it once `ready(names in out)` holds; False if it ended or timed out first."""
     proc = _start(out)
     deadline = time.monotonic() + timeout_s
     try:
@@ -47,6 +66,7 @@ def _kill_when(out: Path, ready, timeout_s: float = 20.0) -> bool:
                 proc.send_signal(signal.SIGKILL)
                 proc.wait(timeout=10)
                 return True
+            time.sleep(0.005)
         return False
     finally:
         if proc.poll() is None:
@@ -81,15 +101,10 @@ def test_killed_training_leaves_no_torn_file(tmp_path, capsys):
     assert main([*COMMAND, "--out", str(reference)]) == 0
     capsys.readouterr()
     for i, (point, ready, leaves_tmp) in enumerate(KILL_POINTS):
-        # the poll can miss a short-lived .tmp file; a miss is retried, not counted
-        for attempt in range(4):
-            out = tmp_path / f"kill{i}-{attempt}"
-            killed = _kill_when(out, ready)
-            _assert_whole_or_absent(out, reference)
-            if killed and (not leaves_tmp or any(n.endswith(".tmp") for n in os.listdir(out))):
-                break
-        else:
-            pytest.fail(f"no run was killed at: {point}")
+        out = tmp_path / f"kill{i}"
+        assert _kill_when(out, ready), f"no run was killed at: {point}"
+        _assert_whole_or_absent(out, reference)
+        assert not leaves_tmp or any(n.endswith(".tmp") for n in os.listdir(out)), point
 
 
 def _lines(path: Path) -> int:
