@@ -194,43 +194,90 @@ def select_action(net: QNetwork, state, epsilon: float, rng: np.random.Generator
     return int(np.argmax(net.forward(state)))
 
 
-def double_q_targets(online: QNetwork, target: QNetwork, batch: Transition, discount: float) -> np.ndarray:
-    """Bootstrap targets of a batch: the online net selects, the target net scores.
+def _bootstrap(q_online, q_target, reward, terminal, discount: float, rows) -> np.ndarray:
+    """The double-Q rule on next-state q-values of both networks, (B, n_actions) each.
 
-    Terminal transitions keep their bare reward.
+    The online net selects, the target net scores; terminal transitions
+    keep their bare reward. `rows` is `np.arange(B)`.
     """
-    q_online = online.forward_batch(batch.next_state)
-    q_target = target.forward_batch(batch.next_state)
-    return _bootstrap(q_online, q_target, batch.reward, batch.terminal, discount)
-
-
-def _bootstrap(q_online, q_target, reward, terminal, discount: float) -> np.ndarray:
-    """The double-Q rule on next-state q-values of both networks, (B, n_actions) each."""
-    a_star = q_online.argmax(axis=1)
-    boot = q_target[np.arange(len(a_star)), a_star]
+    boot = q_target[rows, q_online.argmax(axis=1)]
     return reward + np.where(terminal, 0.0, discount * boot)
 
 
-def _layers(weights, biases, outs, pre) -> None:
-    """Forward pass that keeps every layer's output and pre-activation.
-
-    outs[0] holds the input; the pass writes the pre-activation of layer i
-    into pre[i] and its output (ReLU but for the linear head) into
-    outs[i + 1], which is pre[i] itself for the head. Weights and biases
-    with leading stack axes run every stacked network on every stacked
-    input in one matmul per layer; each slice equals the 2-D pass.
-    """
-    for i, (w, b, z) in enumerate(zip(weights, biases, pre)):
-        np.matmul(outs[i], w, out=z)
-        z += b
-        if outs[i + 1] is not z:
-            np.maximum(z, 0.0, out=outs[i + 1])
-
-
 def _workspace(x: np.ndarray, lead: tuple, layer_sizes) -> tuple[list, list]:
-    """(outs, pre) buffers for `_layers` on input `x`, with leading axes `lead`."""
+    """(outs, pre) buffers for a forward pass on input `x`, with leading axes `lead`.
+
+    outs[0] is the input; layer i writes its pre-activation into pre[i]
+    and its output (ReLU but for the linear head) into outs[i + 1], which
+    is pre[i] itself for the head.
+    """
     pre = [np.empty((*lead, size)) for size in layer_sizes[1:]]
     return [x, *(np.empty_like(z) for z in pre[:-1]), pre[-1]], pre
+
+
+def _forward_plan(weights, biases, outs, pre) -> list[tuple]:
+    """Per layer: (input, weight, bias, pre-activation, ReLU output or None for the head).
+
+    Weights and biases with leading stack axes run every stacked network
+    on every stacked input in one matmul per layer; each slice equals the
+    2-D pass.
+    """
+    heads = [*outs[1:-1], None]
+    return list(zip(outs, weights, biases, pre, heads))
+
+
+def _layers(plan) -> None:
+    """The forward pass of a `_forward_plan`, every layer's buffers filled."""
+    for x, w, b, z, out in plan:
+        np.matmul(x, w, out=z)
+        z += b
+        if out is not None:
+            np.maximum(z, 0.0, out=out)
+
+
+def _backprop_plan(outs, pre, at, weights, grads) -> tuple:
+    """The views and buffers `_backprop` runs on, built once per workspace.
+
+    `outs` and `pre` are a `_forward_plan`'s buffers and `at` indexes the
+    online network's pass over the batch states in each of them (`()` for
+    a plain 2-D pass). `grads` are the parameter views of a gradient
+    vector. Per layer, last first: (its input transposed, its delta, the
+    weight and bias gradients, and, but for the first layer, the weight
+    transposed, the ReLU source of its input, a mask buffer and the delta
+    of the layer below).
+    """
+    q = outs[-1][at]
+    batch = q.shape[0]
+    deltas = [np.empty((batch, z.shape[-1])) for z in pre]
+    steps = []
+    for i in range(len(weights) - 1, -1, -1):
+        back = None
+        if i > 0:
+            back = (weights[i].T, pre[i - 1][at], np.empty(deltas[i - 1].shape, dtype=bool), deltas[i - 1])
+        steps.append((outs[i][at].T, deltas[i], grads[2 * i], grads[2 * i + 1], back))
+    return q, np.arange(batch), np.empty(batch), np.empty(batch), steps
+
+
+def _backprop(plan, actions, targets) -> float:
+    """MSE loss at the taken actions; writes its gradient into the plan's `grads`."""
+    q, rows, err, scratch, steps = plan
+    batch = float(len(rows))  # numpy divides by an int as by this float, only slower
+    np.subtract(q[rows, actions], targets, out=err)
+    # sum / batch is exactly np.mean
+    loss = float(np.add.reduce(np.multiply(err, err, out=scratch)) / batch)
+    delta = steps[0][1]
+    delta.fill(0.0)
+    np.multiply(2.0, err, out=scratch)
+    scratch /= batch
+    delta[rows, actions] = scratch
+    for x_t, delta, grad_w, grad_b, back in steps:
+        np.matmul(x_t, delta, out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
+        if back is not None:
+            w_t, source, mask, below = back
+            np.matmul(delta, w_t, out=below)
+            below *= np.greater(source, 0.0, out=mask)
+    return loss
 
 
 class ReplayBuffer:
@@ -254,6 +301,9 @@ class ReplayBuffer:
 
     def push(self, t: Transition) -> None:
         if self._states is None:
+            # states and next states in two arrays, not one of pairs: at the
+            # default capacity a pair array passes the size from which numpy
+            # asks for huge pages, and its first push would touch 2 MB
             shape = (self.capacity, *np.shape(t.state))
             self._states = np.empty(shape, dtype=np.float64)
             self._next_states = np.empty(shape, dtype=np.float64)
@@ -278,13 +328,13 @@ class ReplayBuffer:
         if self._fill < batch_size:
             return None
         idx = rng.choice(self._fill, size=batch_size, replace=False)
-        # `take` gathers the state rows in a third of fancy indexing's time
+        # `take` gathers rows in a third of fancy indexing's time
         return Transition(
             self._states.take(idx, axis=0),
-            self._actions[idx],
-            self._rewards[idx],
+            self._actions.take(idx),
+            self._rewards.take(idx),
             self._next_states.take(idx, axis=0),
-            self._terminal[idx],
+            self._terminal.take(idx),
         )
 
 
@@ -308,16 +358,20 @@ class DqnAgent:
         # temporaries outgrow numpy's small-block cache; allocated per step
         # they cost more than the arithmetic in a training loop.
         x = np.empty((1, 2, config.batch_size, online.n_inputs))
-        self._outs, self._pre = _workspace(x, (2, 2, config.batch_size), online.layer_sizes)
+        outs, pre = _workspace(x, (2, 2, config.batch_size), online.layer_sizes)
         self._grad = np.empty_like(self._params)
-        self._grads = online.views(self._grad[0])
         self._scratch = np.empty_like(self._params)
         self._beta = np.array([[ADAM_BETA1], [ADAM_BETA2]])
         self._one_minus_beta = np.array([[1.0 - ADAM_BETA1], [1.0 - ADAM_BETA2]])
         self._corr = np.empty((2, 1))
         # both networks' layers as (2, 1, fan_in, fan_out) weights and (2, 1, 1, fan_out) biases
         stacked = [self._params[:, start:stop].reshape(2, 1, -1, shape[-1]) for start, stop, shape in online._spans]
-        self._stacked_w, self._stacked_b = stacked[0::2], stacked[1::2]
+        # axis 0 of a pass picks the network (online, target), axis 1 the
+        # input (next_state, state); the online net on the states feeds the backprop
+        self._x = x
+        self._forward = _forward_plan(stacked[0::2], stacked[1::2], outs, pre)
+        self._next_q = outs[-1][0, 0], outs[-1][1, 0]
+        self._backward = _backprop_plan(outs, pre, (0, 1), online.weights, online.views(self._grad[0]))
 
     # -- gradients -------------------------------------------------------
 
@@ -329,33 +383,10 @@ class DqnAgent:
         """
         net = self.online
         outs, pre = _workspace(states, np.shape(states)[:1], net.layer_sizes)
-        _layers(net.weights, net.biases, outs, pre)
+        _layers(_forward_plan(net.weights, net.biases, outs, pre))
         grads = net.views(np.empty_like(net.flat))
-        loss = self._backprop(outs, pre, (), actions, targets, grads)
+        loss = _backprop(_backprop_plan(outs, pre, (), net.weights, grads), actions, targets)
         return loss, grads
-
-    def _backprop(self, outs, pre, at, actions, targets, grads) -> float:
-        """MSE loss at the taken actions; writes its gradient into `grads`.
-
-        `outs` and `pre` come from `_layers`, and `at` indexes the online
-        network's pass over the batch states in each of them (`()` for a
-        plain 2-D pass). `grads` are the parameter views of a gradient vector.
-        """
-        weights = self.online.weights
-        q = outs[-1][at]
-        batch = q.shape[0]
-        rows = np.arange(batch)
-        err = q[rows, actions] - targets
-        # sum / batch is exactly np.mean
-        loss = float((err * err).sum() / batch)
-        delta = np.zeros_like(q)
-        delta[rows, actions] = 2.0 * err / batch
-        for i in range(len(weights) - 1, -1, -1):
-            np.matmul(outs[i][at].T, delta, out=grads[2 * i])
-            delta.sum(axis=0, out=grads[2 * i + 1])
-            if i > 0:
-                delta = (delta @ weights[i].T) * (pre[i - 1][at] > 0.0)
-        return loss
 
     def _adam_step(self) -> None:
         """One AdamW update of the online network from the gradient in `_grad[0]`.
@@ -396,18 +427,16 @@ class DqnAgent:
         and the states; the online net on the states feeds the backprop.
         """
         cfg = self.config
-        x = self._outs[0]
+        x = self._x
         shapes = (np.shape(batch.action), np.shape(batch.state), np.shape(batch.next_state))
         if shapes != ((cfg.batch_size,), x.shape[2:], x.shape[2:]):
             raise ValueError(f"batch of shapes {shapes} != ({cfg.batch_size},), {x.shape[2:]}")
         x[0, 0] = batch.next_state
         x[0, 1] = batch.state
-        # axis 0 picks the network (online, target), axis 1 the input (next_state, state)
-        outs, pre = self._outs, self._pre
-        _layers(self._stacked_w, self._stacked_b, outs, pre)
-        q = outs[-1]
-        targets = _bootstrap(q[0, 0], q[1, 0], batch.reward, batch.terminal, cfg.discount)
-        loss = self._backprop(outs, pre, (0, 1), batch.action, targets, self._grads)
+        _layers(self._forward)
+        rows = self._backward[1]
+        targets = _bootstrap(*self._next_q, batch.reward, batch.terminal, cfg.discount, rows)
+        loss = _backprop(self._backward, batch.action, targets)
         self._adam_step()
         if self.step_count % cfg.target_sync_period == 0:
             self.target.copy_from(self.online)
@@ -438,8 +467,9 @@ class DqnAgent:
     @classmethod
     def load(cls, path, config: AgentConfig) -> "DqnAgent":
         """Read a checkpoint written by `save`; a torn file, a malformed field, another
-        format or shape, an action mapping other than AGENT_ACTION_IDS, or a network
-        that does not map the state to those actions is a CheckpointError."""
+        format or shape, an action mapping other than AGENT_ACTION_IDS, a network
+        that does not map the state to those actions, or a parameter or moment
+        that is NaN or infinite is a CheckpointError."""
         try:
             # np.load leaves a file it opened itself open when zipfile raises,
             # and reads a bare .npy file as an array, no context manager (TypeError)
@@ -469,6 +499,8 @@ class DqnAgent:
             for key, live in (("params", agent._params), ("moments", agent._moments)):
                 if data[key].shape != live.shape:
                     raise ValueError(f"{key} has shape {data[key].shape}, expected {live.shape}")
+                if not np.isfinite(data[key]).all():
+                    raise ValueError(f"{key} holds a NaN or infinite value")
                 np.copyto(live, data[key])
             return agent
         except KeyError as exc:

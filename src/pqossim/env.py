@@ -30,6 +30,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,6 +61,9 @@ _STRETCH_MIN_VEHICLE_TICKS = 40
 # vehicle, 4 at five. That spreads the channel's fixed numpy cost while its
 # arrays stay a few tens of KB, whatever the episode length.
 _CHANNEL_BLOCK_VALUES = 2048
+
+# Payload normals are drawn from their stream this many at a time.
+_PAYLOAD_DRAWS = 64
 
 
 @dataclass
@@ -226,17 +230,18 @@ def state_vector(kpis: Sequence[StepKpis], config: SimConfig, mcs_index_max: int
     lo = config.sinr_min_db
     span = config.sinr_max_db - lo
     drop = config.queue_drop_ms
-    # scalar divisions, then one array and one clamp for the fleet: at one
-    # vehicle this is cheaper than dividing the array by a row of scales
-    states = np.array(
+    # scalar divisions and clamps, then one array for the fleet: at one
+    # vehicle this is cheaper than numpy's divide and clip. For finite
+    # features the clamp equals `np.clip(f, 0.0, 1.0)`, -0.0 included.
+    return np.array(
         [
-            (mcs / top, sym / budget, (sinr - lo) / span,
-             mean / drop, high / drop, low / drop, std / drop, prr)
+            [f if 0.0 <= f <= 1.0 else float(f > 0.0) for f in (
+                mcs / top, sym / budget, (sinr - lo) / span,
+                mean / drop, high / drop, low / drop, std / drop, prr)]
             for mcs, sym, sinr, mean, high, low, std, prr, *_ in kpis
         ],
         dtype=np.float64,
     )
-    return states.clip(0.0, 1.0, out=states)
 
 
 # A queued burst is the packets of one frame sharing an arrival time, kept
@@ -245,6 +250,35 @@ def state_vector(kpis: Sequence[StepKpis], config: SimConfig, mcs_index_max: int
 # full-size except the last, so a burst with `sent < bits` has finished
 # `sent // full_bits` packets, and all of them once `sent == bits`.
 _ARRIVAL, _PERIOD, _PACKETS, _BITS, _SENT = range(5)
+
+
+def _serve(q: deque, bits: int, now_end: int, period: int, runs: list, full_bits: int) -> tuple[int, int]:
+    """Send one tick's `bits` from queue `q`, carrying them from burst to burst, oldest first.
+
+    Appends a (delay, packets) run to `runs` per burst that finishes
+    packets, the delay taken at `now_end`, the end of the tick. Returns the
+    packets finished and how many of them were generated in `period`.
+    """
+    got = own = 0
+    while q:
+        burst = q[0]
+        arrival, burst_period, packets, size, sent = burst
+        after = sent + bits
+        if after < size:
+            finished = after // full_bits - sent // full_bits
+            burst[_SENT] = after
+        else:
+            finished = packets - sent // full_bits
+            q.popleft()
+        if finished:
+            runs += (now_end - arrival, finished)
+            got += finished
+            if burst_period == period:
+                own += finished
+        if after <= size:
+            break
+        bits = after - size
+    return got, own
 
 
 class NetworkEnv:
@@ -260,6 +294,8 @@ class NetworkEnv:
         self.config = config
         self.mcs_table = load_mcs_table(config.mcs_table_path) if config.mcs_table_path else McsTable()
         self._full_bits = config.packet_size_bytes * 8
+        self._re_sym = config.re_per_symbol
+        self._steps = config.steps_per_episode
         self._frame_interval_ms = 1000.0 / config.frame_rate_hz
         # the route as four segments counterclockwise from (a, -b): right
         # side, top, left side, bottom; each has a start (arc length and
@@ -291,6 +327,7 @@ class NetworkEnv:
         mob_ss, shadow_ss, payload_ss = ss.spawn(3)
         self._rng_shadow = np.random.default_rng(shadow_ss)
         self._rng_payload = np.random.default_rng(payload_ss)
+        self._normals: list[float] = []  # payload draws not yet used, next one last
 
         n = cfg.n_vehicles
         rng_mob = np.random.default_rng(mob_ss)
@@ -313,7 +350,7 @@ class NetworkEnv:
 
     @property
     def done(self) -> bool:
-        return self._ready and self._step_count >= self.config.steps_per_episode
+        return self._ready and self._step_count >= self._steps
 
     def queued_packets(self) -> int:
         """Packets currently waiting or in transmission, fleet-wide."""
@@ -339,9 +376,9 @@ class NetworkEnv:
 
         # position along the segment s falls in, in closed form
         k = np.searchsorted(self._seg_ends, s, side="right")
-        d = s - self._seg_start[k]
-        x = self._seg_x0[k] + self._seg_sx[k] * d
-        y = self._seg_y0[k] + self._seg_sy[k] * d
+        d = s - self._seg_start.take(k)
+        x = self._seg_x0.take(k) + self._seg_sx.take(k) * d
+        y = self._seg_y0.take(k) + self._seg_sy.take(k) * d
         dist = np.hypot(x, y)
 
         sigma = cfg.shadowing_sigma_db
@@ -354,7 +391,7 @@ class NetworkEnv:
             y = self._shadow_last[v]
             columns.append([y := x + rho * y for x in column])
             self._shadow_last[v] = y
-        shadow = np.ascontiguousarray(np.array(columns).T)
+        shadow = np.fromiter(chain.from_iterable(columns), np.float64, span * n).reshape(n, span).T.copy()
 
         pathloss = cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * np.log10(
             np.maximum(dist, 1.0)
@@ -376,9 +413,10 @@ class NetworkEnv:
     def _enqueue_frame(self, vehicle: int, arrival_ms: int, period: int, mode: ApplicationMode) -> int:
         """Queue one frame as a burst; returns its packet count."""
         cfg = self.config
-        payload_kb = mode.mean_payload_kb * (
-            1.0 + cfg.payload_cv * self._rng_payload.standard_normal()
-        )
+        if not self._normals:
+            # one block draw is the same stream as as many scalar draws
+            self._normals = self._rng_payload.standard_normal(_PAYLOAD_DRAWS).tolist()[::-1]
+        payload_kb = mode.mean_payload_kb * (1.0 + cfg.payload_cv * self._normals.pop())
         payload_bytes = int(round(max(1.0, payload_kb) * 1000.0))
         n_packets = -(-payload_bytes // cfg.packet_size_bytes)
         self._queues[vehicle].append([arrival_ms, period, n_packets, 8 * payload_bytes, 0])
@@ -555,6 +593,63 @@ class NetworkEnv:
                     q.popleft()
         return t0 + k, sum(got)
 
+    def _drain_lone(
+        self, v, t0, t1, eff, start_ms, period, symbols_used, cohort_delivered, delay_runs
+    ):
+        """Drop, schedule and drain ticks t0, t0 + 1, ... before t1 for vehicle v alone.
+
+        Tick t0's frames are already queued, v is the only backlogged
+        vehicle and no frame arrives in (t0, t1), so each tick runs as the
+        scalar loop runs it with one schedulable vehicle: drop the bursts
+        past the residency bound, then grant min(need, symbols_per_tick),
+        or nothing in outage. The need is ceil(x) for x = queued bits /
+        (re_sym * eff), and ceil(x) > s is x > s for the integer s, so the
+        ceiling is taken only on a tick that can empty the queue. Stops
+        after the tick that empties it. `eff` holds the period's
+        efficiencies as floats, tick after tick, vehicle after vehicle.
+
+        Updates the queue and the period's accumulators in place; returns
+        (end, delivered, dropped): the first tick not run and the packets
+        delivered and dropped.
+        """
+        cfg = self.config
+        n = cfg.n_vehicles
+        tick_ms = cfg.tick_ms
+        re_sym = self._re_sym
+        per_tick = cfg.symbols_per_tick
+        drop_ms = cfg.queue_drop_ms
+        full_bits = self._full_bits
+        q = self._queues[v]
+        queued = self._queue_bits[v]
+        runs = delay_runs[v]
+        at = t0 * n + v
+        now_ms = start_ms + t0 * tick_ms
+        t = t0
+        symbols = delivered = dropped = own = 0
+        while t < t1 and queued:
+            cutoff = now_ms - drop_ms
+            while q and q[0][_ARRIVAL] < cutoff:
+                _, _, packets, size, sent = q.popleft()
+                dropped += packets - sent // full_bits
+                queued -= size - sent
+            e = eff[at]
+            at += n
+            t += 1
+            now_ms += tick_ms
+            if queued > 0 and e > 0.0:
+                x = queued / (re_sym * e)
+                sym = per_tick if x > per_tick else math.ceil(x)
+                symbols += sym
+                bits = int(sym * re_sym * e)
+                queued = queued - bits if bits < queued else 0
+                got, mine = _serve(q, bits, now_ms, period, runs, full_bits)
+                delivered += got
+                own += mine
+        self._queue_bits[v] = queued
+        symbols_used[v] += symbols
+        cohort_delivered[v] += own
+        return t, delivered, dropped
+
     # -- the control-period step ---------------------------------------
 
     def step(self, actions: Sequence) -> tuple[np.ndarray, list[StepKpis], bool]:
@@ -580,31 +675,31 @@ class NetworkEnv:
         end_ms = start_ms + cfg.control_period_ms
         ticks = cfg.ticks_per_period
         tick_ms = cfg.tick_ms
-        re_sym = cfg.re_per_symbol
+        re_sym = self._re_sym
         symbols_per_tick = cfg.symbols_per_tick
         drop_ms = cfg.queue_drop_ms
         full_bits = self._full_bits
 
         if period == self._block_end:
             per_block = max(1, _CHANNEL_BLOCK_VALUES // (ticks * n))
-            self._channel_block(min(per_block, cfg.steps_per_episode - period))
+            self._channel_block(min(per_block, self._steps - period))
         # this period's ticks are rows base, base + 1, ... of the block
         base = (period - self._block_start) * ticks
         eff = self._eff[base : base + ticks]
-        # rows of Python floats for the scalar ticks; one block's rows would
-        # cost more, in garbage collection of their many small lists
-        eff_rows = eff.tolist()
+        # the same as Python floats, tick after tick, for the scalar ticks
+        eff_list = eff.ravel().tolist()
         outage_flips = self._outage_flips
 
-        # frames arriving at each tick offset within this period (same for the fleet)
+        # frames arriving at each tick offset within this period (same for
+        # the fleet), and the ticks they arrive on, in order, ending with `ticks`
         interval = self._frame_interval_ms
-        first = math.ceil(start_ms / interval - 1e-9)
         arrivals: dict[int, int] = {}
-        k = first
+        k = math.ceil(start_ms / interval - 1e-9)
         while k * interval < end_ms - 1e-9:
             t = int((k * interval - start_ms) // tick_ms)
             arrivals[t] = arrivals.get(t, 0) + 1
             k += 1
+        arrival_ticks = [*sorted(arrivals), ticks]
 
         queues = self._queues
         queue_bits = self._queue_bits
@@ -620,7 +715,6 @@ class NetworkEnv:
 
         # the round-robin offset advances one per tick from the episode's start
         rr = period * ticks
-        arrival_ticks = sorted(arrivals)
         scalar_until = 0
         t = 0
         while t < ticks:
@@ -632,13 +726,24 @@ class NetworkEnv:
                         gen_counts[v] += self._enqueue_frame(v, now_ms, period, modes[v])
             elif not any(queue_bits):
                 # empty cell: nothing to drop, schedule or drain before the next frame
-                t = min((a for a in arrivals if a > t), default=ticks)
+                t = arrival_ticks[bisect.bisect_right(arrival_ticks, t)]
                 continue
+            if queue_bits.count(0) == n - 1:
+                # one backlogged vehicle has the cell to itself up to the next frame
+                end, sent, lost = self._drain_lone(
+                    queue_bits.index(max(queue_bits)), t, arrival_ticks[bisect.bisect_right(arrival_ticks, t)],
+                    eff_list, start_ms, period, symbols_used, cohort_delivered, delay_runs,
+                )
+                delivered += sent
+                dropped += lost
+                if end > t:
+                    t = end
+                    continue
             # bursts older than the residency bound are dropped whole, then
             # each backlogged, non-outage vehicle asks for the symbols that
             # would empty its queue
             cutoff = now_ms - drop_ms
-            tick_eff = eff_rows[t]
+            at = t * n  # the tick's row in the flat efficiencies
             needs = {}
             for v in range(n):
                 q = queues[v]
@@ -648,8 +753,8 @@ class NetworkEnv:
                     _, _, packets, size, sent = q.popleft()
                     dropped += packets - sent // full_bits
                     queue_bits[v] -= size - sent
-                if queue_bits[v] > 0 and tick_eff[v] > 0.0:
-                    needs[v] = math.ceil(queue_bits[v] / (re_sym * tick_eff[v]))
+                if queue_bits[v] > 0 and eff_list[at + v] > 0.0:
+                    needs[v] = math.ceil(queue_bits[v] / (re_sym * eff_list[at + v]))
             # at an equal share of symbols_per_tick / m, the smallest need
             # lasts min(need) * m / symbols_per_tick ticks; when that covers
             # the break-even, try to run this tick and the ones after it as
@@ -660,7 +765,7 @@ class NetworkEnv:
                 and needs
                 and min(needs.values()) * len(needs) ** 2 >= _STRETCH_MIN_VEHICLE_TICKS * symbols_per_tick
             ):
-                limit = next((a for a in arrival_ticks if a > t), ticks)
+                limit = arrival_ticks[bisect.bisect_right(arrival_ticks, t)]
                 oldest = min(q[0][_ARRIVAL] for q in queues if q)
                 limit = bisect.bisect_right(
                     range(t + 1, limit), oldest, key=lambda u: start_ms + u * tick_ms - drop_ms
@@ -695,29 +800,11 @@ class NetworkEnv:
             now_end = now_ms + tick_ms
             for v, sym in used.items():
                 symbols_used[v] += sym
-                bits = int(sym * re_sym * tick_eff[v])
+                bits = int(sym * re_sym * eff_list[at + v])
                 queue_bits[v] -= min(bits, queue_bits[v])
-                q = queues[v]
-                runs = delay_runs[v]
-                while q:
-                    # the tick's bits carry from burst to burst, oldest first
-                    burst = q[0]
-                    arrival, burst_period, packets, size, sent = burst
-                    after = sent + bits
-                    if after < size:
-                        finished = after // full_bits - sent // full_bits
-                        burst[_SENT] = after
-                    else:
-                        finished = packets - sent // full_bits
-                        q.popleft()
-                    if finished:
-                        runs += (now_end - arrival, finished)
-                        delivered += finished
-                        if burst_period == period:
-                            cohort_delivered[v] += finished
-                    if after <= size:
-                        break
-                    bits = after - size
+                got, own = _serve(queues[v], bits, now_end, period, delay_runs[v], full_bits)
+                delivered += got
+                cohort_delivered[v] += own
             t += 1
 
         self.total_delivered += delivered
@@ -735,14 +822,18 @@ class NetworkEnv:
                 # the runs stay in delivery order
                 values, counts = runs[0::2], runs[1::2]
                 d_max, d_min = float(max(values)), float(min(values))
-                d_mean = sum(map(operator.mul, values, counts)) / sum(counts)
+                total = sum(counts)
+                d_mean = sum(map(operator.mul, values, counts)) / total
                 if d_min == d_max:
                     d_std = 0.0
                 else:
-                    # numpy's two-pass std, spelled out without its wrapper
-                    a = np.repeat(np.array(values, dtype=np.float64), counts)
-                    x = a - a.sum() / a.size
-                    d_std = math.sqrt((x * x).sum() / a.size)
+                    # numpy's two-pass std, spelled out without its wrapper:
+                    # d_mean is its mean, and each run's squared deviation,
+                    # repeated, is the summand array of its second pass
+                    pairs = np.array(runs)
+                    x = pairs[0::2] - d_mean
+                    x *= x
+                    d_std = math.sqrt(np.add.reduce(x.repeat(pairs[1::2])) / total)
             else:
                 # nothing delivered: saturate at the residency bound
                 d_mean = d_max = d_min = cfg.queue_drop_ms

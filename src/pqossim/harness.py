@@ -149,15 +149,16 @@ def _run_episode(env, policy, agent, buffer, rng, episode, episode_seed, reward_
     is available. Periods that generated no traffic produce no transition.
     """
     states = env.reset(episode_seed)
+    vehicles = range(env.config.n_vehicles)
     step, done = 0, False
     while not done:
-        modes = [policy.decide(states[v], rng) for v in range(env.config.n_vehicles)]
+        modes = [policy.decide(states[v], rng) for v in vehicles]
         next_states, kpis, done = env.step(modes)
         rows = []
         for v, (mode, k) in enumerate(zip(modes, kpis)):
             sample = QosSample(k.prr, k.delay_mean, mode.cd_sym)
-            reward = compute_reward(sample, reward_params)
             met = qos_met(sample, reward_params)
+            reward = compute_reward(sample, reward_params, met)
             rows.append(StepRow(episode, step, v, mode.mode_id, *k, mode.cd_sym, reward, int(met)))
             if buffer is not None and k.packets_generated > 0:
                 buffer.push(Transition(states[v], _action_index(mode), reward, next_states[v], done))
@@ -170,10 +171,13 @@ def _run_episode(env, policy, agent, buffer, rng, episode, episode_seed, reward_
         step += 1
 
 
+_ACTION_INDEX = {mode: i for i, mode in enumerate(AGENT_ACTION_MODES)}
+
+
 def _action_index(mode: ApplicationMode) -> int:
     try:
-        return AGENT_ACTION_MODES.index(mode)
-    except ValueError:
+        return _ACTION_INDEX[mode]
+    except KeyError:
         raise ValueError(f"mode {mode.mode_id} is not in the agent action set") from None
 
 

@@ -51,6 +51,7 @@ class McsTable:
             raise ConfigError("MCS table efficiencies must be positive")
         self.thresholds = np.ascontiguousarray(table[:, 0])
         self.efficiencies = np.ascontiguousarray(table[:, 1])
+        self._outage_and_efficiencies = np.concatenate([[0.0], self.efficiencies])
 
     @property
     def index_max(self) -> int:
@@ -63,12 +64,9 @@ class McsTable:
         efficiency; above the highest threshold the map saturates at the
         last entry.
         """
-        sinr = np.asarray(sinr_db, dtype=np.float64)
-        idx = np.searchsorted(self.thresholds, sinr, side="right") - 1
-        outage = idx < 0
-        idx = np.where(outage, 0, idx)
-        eff = np.where(outage, 0.0, self.efficiencies[idx])
-        return idx.astype(np.int64), eff
+        # thresholds at or below each SINR: 0 in outage, else the MCS index + 1
+        above = np.searchsorted(self.thresholds, np.asarray(sinr_db, dtype=np.float64), side="right")
+        return np.maximum(above - 1, 0).astype(np.int64), self._outage_and_efficiencies.take(above)
 
 
 def load_mcs_table(path) -> McsTable:

@@ -10,6 +10,7 @@ headroom with normalized point-cloud fidelity headroom, weighted by alpha
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, check_finite
 
@@ -40,8 +41,7 @@ class RewardParams:
             raise ConfigError(f"cd_m must be > 0, got {self.cd_m}")
 
 
-@dataclass(frozen=True)
-class QosSample:
+class QosSample(NamedTuple):
     """Per-vehicle outcome of one control period, as seen by the reward.
 
     prr           -- delivered/generated packets of the period, in [0, 1]
@@ -65,17 +65,20 @@ def qos_met(sample: QosSample, params: RewardParams) -> bool:
     return sample.mean_delay_ms < params.delta_m_ms and sample.prr == 1.0
 
 
-def compute_reward(sample: QosSample, params: RewardParams) -> float:
+def compute_reward(sample: QosSample, params: RewardParams, met: bool | None = None) -> float:
     """Reward in [0, 1] for one period.
 
     0 when QoS failed; otherwise
     (1-alpha) * (delta_m - delay)/delta_m + alpha * (cd_m - cd)/cd_m.
 
+    `met` is `qos_met(sample, params)` when the caller has it already;
+    otherwise it is evaluated here, which validates the sample first.
     The active mode's cd must respect cd_m (the mode table is validated
     against the reward bounds); violating that is a configuration error,
     not a zero-reward period.
     """
-    met = qos_met(sample, params)  # validates the sample first
+    if met is None:
+        met = qos_met(sample, params)
     if sample.cd > params.cd_m:
         raise ConfigError(
             f"mode chamfer distance {sample.cd} exceeds tolerated maximum {params.cd_m}"

@@ -386,6 +386,8 @@ BAD_CHECKPOINTS = {
     "version-1": "unsupported checkpoint version 1",
     "other-network": "checkpoint network (5, 12, 6, 3) does not map 8 features to 3 actions",
     "negative-step": "checkpoint step_count -3 < 0",
+    "nan-params": "params holds a NaN or infinite value",
+    "inf-moments": "moments holds a NaN or infinite value",
 }
 
 
@@ -403,6 +405,14 @@ def test_cli_rejects_a_bad_checkpoint_before_any_output(tmp_path, capsys, conten
         _rewrite(checkpoint, layer_sizes=(5, 12, 6, 3))  # a whole agent of another cell
     elif content == "negative-step":
         _rewrite(checkpoint, step_count=np.int64(-3))
+    elif content in ("nan-params", "inf-moments"):
+        rows = DqnAgent(AgentConfig())._params.copy()
+        if content == "nan-params":
+            rows[0] = np.nan  # the online network, which picks every action
+            _rewrite(checkpoint, params=rows)
+        else:
+            rows[1, :] = np.inf
+            _rewrite(checkpoint, moments=rows)
     out = tmp_path / "out"
     for command in (["train-offline"], ["train-online"], ["test", "--policy", "dql"]):
         capsys.readouterr()

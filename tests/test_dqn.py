@@ -14,7 +14,7 @@ from pqossim.dqn import (
     QNetwork,
     ReplayBuffer,
     Transition,
-    double_q_targets,
+    _bootstrap,
     forward,
     select_action,
 )
@@ -125,6 +125,31 @@ def test_select_action_epsilon_bounds():
 
 
 # -- double-q target ---------------------------------------------------------
+
+
+def double_q_targets(online: QNetwork, target: QNetwork, batch: Transition, discount: float) -> np.ndarray:
+    """Reference bootstrap targets of a batch from two separate networks.
+
+    The online net selects the next action, the target net scores it;
+    terminal transitions keep their bare reward.
+    """
+    q_online = online.forward_batch(batch.next_state)
+    q_target = target.forward_batch(batch.next_state)
+    boot = q_target[np.arange(len(q_online)), np.argmax(q_online, axis=1)]
+    return batch.reward + np.where(batch.terminal, 0.0, discount * boot)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 32), discount=st.floats(0.0, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_bootstrap_equals_the_two_network_reference(size, discount, seed):
+    rng = np.random.default_rng(seed)
+    online, target = QNetwork(rng=rng), QNetwork(rng=rng)
+    batch = random_batch(rng, size=size)
+    got = _bootstrap(
+        online.forward_batch(batch.next_state), target.forward_batch(batch.next_state),
+        batch.reward, batch.terminal, discount, np.arange(size),
+    )
+    assert np.array_equal(got, double_q_targets(online, target, batch, discount))
 
 
 def test_double_q_target_terminal():
@@ -542,6 +567,8 @@ def test_wrong_shape_checkpoint_array_rejected(tmp_path):
         ("format_version", np.int64(3)),
         ("step_count", np.int64(-3)),
         ("moments", None),  # missing
+        ("params", lambda saved: np.where([[True], [False]], np.nan, saved)),  # the online row NaN
+        ("moments", lambda saved: np.where([[False], [True]], np.inf, saved)),  # v infinite
     ],
 )
 def test_malformed_checkpoint_field_rejected(tmp_path, field, value):
@@ -551,6 +578,8 @@ def test_malformed_checkpoint_field_rejected(tmp_path, field, value):
         arrays = dict(data)
     if value is None:
         del arrays[field]
+    elif callable(value):
+        arrays[field] = value(arrays[field])
     else:
         arrays[field] = value
     with open(path, "wb") as fh:

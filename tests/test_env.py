@@ -223,6 +223,27 @@ def test_state_vector_layout():
     assert clipped > 0  # the clamp ran on some feature
 
 
+def test_state_vector_clamp_equals_np_clip():
+    # features at -0.0, 0.0 and 1.0 and one ulp outside [0, 1], in every
+    # position: the clamp keeps -0.0 and 1.0 and clips the rest as np.clip does
+    cfg = quick_cfg()
+    top, budget, drop = 14, cfg.symbol_budget_per_period, cfg.queue_drop_ms
+    lo, span = cfg.sinr_min_db, cfg.sinr_max_db - cfg.sinr_min_db
+    below, above = np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)
+    kpis = []
+    for f in (-0.0, 0.0, 1.0, below, above, 0.5):
+        # each field chosen so that its scaled feature is f
+        kpis.append(StepKpis(0, 0, lo + f * span, f * drop, f * drop, f * drop, f * drop, f, 1, 1))
+    kpis.append(StepKpis(top, budget, lo - 1.0, -0.0, drop + 1.0, 0.0, -1e-300, above, 1, 1))
+    raw = np.array([
+        [k.mcs_index / top, k.ofdm_symbols_used / budget, (k.sinr_db - lo) / span, k.delay_mean / drop,
+         k.delay_max / drop, k.delay_min / drop, k.delay_std / drop, k.prr]
+        for k in kpis
+    ])
+    assert np.signbit(raw).any() and (raw < 0.0).any() and (raw > 1.0).any()
+    assert state_vector(kpis, cfg, top).tobytes() == np.clip(raw, 0.0, 1.0).tobytes()
+
+
 def test_kpi_fields_lead_with_the_state_features():
     # state_vector reads the first eight StepKpis fields as the state, in order
     assert StepKpis._fields[:8] == (

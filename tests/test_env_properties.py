@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import pqossim.env as env_module
 from pqossim.config import default_config
 from pqossim.env import NetworkEnv, SimConfig
-from pqossim.modes import CANONICAL_MODES, MODE_1450
+from pqossim.modes import CANONICAL_MODES, MODE_1450, MODE_RAW
 
 _CONFIGS = st.builds(
     SimConfig,
@@ -64,17 +64,20 @@ def _step_side_by_side(cfg, seed, action_lists, setting, values):
             for env, value in zip(envs, values):
                 setattr(env_module, setting, value)
                 states, kpis, _ = env.step(actions)
-                counters = (
-                    env.total_generated,
-                    env.total_delivered,
-                    env.total_dropped,
-                    env.queued_packets(),
-                    env.scheduler_idle_violations,
-                )
-                seen.append((states, kpis, counters))
+                seen.append((states, kpis, _counters(env)))
             yield seen
     finally:
         setattr(env_module, setting, shipped)
+
+
+def _counters(env):
+    return (
+        env.total_generated,
+        env.total_delivered,
+        env.total_dropped,
+        env.queued_packets(),
+        env.scheduler_idle_violations,
+    )
 
 
 _STRETCH_CONFIGS = st.builds(
@@ -117,6 +120,66 @@ def test_stretch_drain_matches_scalar_ticks(cfg, data):
             assert np.array_equal(states, ref_states)
             assert kpis == ref_kpis
             assert counters == ref_counters
+
+
+_LONE_CONFIGS = st.builds(
+    SimConfig,
+    n_vehicles=st.integers(1, 3),
+    frame_rate_hz=st.floats(2.0, 40.0),
+    queue_drop_ms=st.floats(1.0, 500.0),
+    tick_ms=st.sampled_from([1, 2, 5]),
+    # below about 0 dBm the cell edge falls into outage
+    tx_power_dbm=st.one_of(st.just(23.0), st.floats(-25.0, 0.0)),
+    packet_size_bytes=st.integers(200, 40_000),
+    symbols_per_tick=st.integers(1, 30),
+    bandwidth_mhz=st.floats(5.0, 100.0),
+    episode_duration_s=st.just(0.6),  # 6 periods
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_LONE_CONFIGS, data=st.data())
+def test_lone_drain_matches_the_scalar_ticks(cfg, data):
+    """A lone backlogged vehicle drained in one loop or tick by tick: same outputs.
+
+    In the reference env the lone drain runs no tick, so every tick it
+    would cover runs through the generic tick loop and the stretches.
+    """
+    n = cfg.n_vehicles
+    envs = [NetworkEnv(cfg) for _ in range(2)]
+    for env in envs:
+        env.reset(cfg.rng_seed)
+    envs[1]._drain_lone = lambda v, t0, *args: (t0, 0, 0)
+    while not envs[0].done:
+        actions = data.draw(st.lists(st.sampled_from(CANONICAL_MODES), min_size=n, max_size=n))
+        (states, kpis, _), (ref_states, ref_kpis, _) = (env.step(actions) for env in envs)
+        assert np.array_equal(states, ref_states)
+        assert kpis == ref_kpis
+        assert _counters(envs[0]) == _counters(envs[1])
+
+
+def test_lone_drain_runs_every_busy_tick_at_one_vehicle(monkeypatch):
+    """At one vehicle the lone drain runs every backlogged tick, in one call per frame."""
+    covered = []
+    drain = NetworkEnv._drain_lone
+
+    def counting(self, v, t0, *args):
+        end, delivered, dropped = drain(self, v, t0, *args)
+        covered.append(end - t0)
+        return end, delivered, dropped
+
+    def never(*args):
+        raise AssertionError("a lone vehicle's tick left the lone drain")
+
+    monkeypatch.setattr(NetworkEnv, "_drain_lone", counting)
+    monkeypatch.setattr(NetworkEnv, "_drain_stretch", never)
+    env = NetworkEnv(SimConfig(n_vehicles=1, episode_duration_s=2.0))
+    env.reset(7)
+    while not env.done:
+        covered.clear()
+        env.step([MODE_RAW])  # backlogged from the first frame on
+        assert covered == [env.config.ticks_per_period]
 
 
 def test_stretches_cover_the_contended_ticks(monkeypatch):

@@ -51,6 +51,29 @@ def test_offline_actions_cycle_round_robin(tmp_path):
     assert per_episode == [{1450: n}, {1451: n}, {1452: n}, {1450: n}]
 
 
+def test_one_qos_verdict_per_row(tmp_path, monkeypatch):
+    """The reward reuses the row's `qos_met` verdict instead of deciding it again."""
+    import pqossim.harness as harness_module
+    import pqossim.reward as reward_module
+
+    calls = []
+
+    def counting(original):
+        def qos_met(sample, params):
+            calls.append(sample)
+            return original(sample, params)
+
+        return qos_met
+
+    # harness looks qos_met up in its own namespace; a compute_reward that
+    # decided QoS itself would look it up in reward's
+    for module in (harness_module, reward_module):
+        monkeypatch.setattr(module, "qos_met", counting(module.qos_met))
+    cfg = tiny_config(n_vehicles=2, offline=1)
+    _, records = run_offline_training(cfg, tmp_path / "off")
+    assert len(calls) == sum(len(rec.rows) for rec in records) == 2 * cfg.sim.steps_per_episode
+
+
 def test_episode_accounting(tmp_path):
     cfg = tiny_config(n_vehicles=3, offline=2)
     _, records = run_offline_training(cfg, tmp_path / "off")
