@@ -14,12 +14,10 @@ import dataclasses
 import math
 import typing
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .dqn import AgentConfig
 from .env import SimConfig
-from .errors import ConfigError
-from .link import load_mcs_table
+from .errors import ConfigError, read_utf8
 from .reward import RewardParams
 
 PROFILES = ("quick", "paper")
@@ -146,7 +144,7 @@ def load_config(path, profile: str = "paper") -> ExperimentConfig:
     ignored. Values are validated on load.
     """
     config = default_config(profile)
-    text = Path(path).read_text()
+    text = read_utf8(path, ConfigError)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -172,10 +170,7 @@ def validate(config: ExperimentConfig) -> None:
         if episodes is not None and episodes < 1:
             raise ConfigError(f"run.{key} must be >= 1, got {episodes}")
     config.sim.validate()
-    if config.sim.mcs_table_path:
-        # NetworkEnv reads the table again; reading it here rejects a bad
-        # one before a run writes anything
-        load_mcs_table(config.sim.mcs_table_path)
+    config.sim.mcs_table  # read here, a bad table fails before a run writes anything
     try:
         config.agent.validate()
     except ValueError as exc:

@@ -188,6 +188,17 @@ class SimConfig:
     def route_perimeter_m(self) -> float:
         return 4.0 * (self.route_half_length_m + self.route_half_width_m)
 
+    @property
+    def mcs_table(self) -> McsTable:
+        """The table at `mcs_table_path`, the built-in one if the path is empty.
+
+        It is read once per path, so a run simulates the table its validation read.
+        """
+        if vars(self).get("_mcs_table", (None,))[0] != self.mcs_table_path:
+            path = self.mcs_table_path
+            self._mcs_table = (path, load_mcs_table(path) if path else McsTable())
+        return self._mcs_table[1]
+
 
 class StepKpis(NamedTuple):
     """Per-vehicle KPIs aggregated over one control period.
@@ -292,7 +303,7 @@ class NetworkEnv:
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        self.mcs_table = load_mcs_table(config.mcs_table_path) if config.mcs_table_path else McsTable()
+        self.mcs_table = config.mcs_table
         self._full_bits = config.packet_size_bytes * 8
         self._re_sym = config.re_per_symbol
         self._steps = config.steps_per_episode
@@ -425,18 +436,13 @@ class NetworkEnv:
         return n_packets
 
     def _water_fill(self, needs: dict[int, int], budget: int, rr: int) -> dict[int, int]:
-        """Split a contended tick's symbols among the backlogged vehicles.
+        """Split a tick's symbols among its schedulable vehicles.
 
         Equal shares, the remainder going round-robin from the tick counter
-        `rr`; whatever a vehicle cannot use flows back to the others.
-        `needs` may be consumed.
+        `rr`; whatever a vehicle cannot use flows back to the others, round
+        after round, until the budget or the needs run out. Returns the
+        nonzero grants; `needs` may be consumed.
         """
-        vids = sorted(needs)
-        m = len(vids)
-        base, extra = divmod(budget, m)
-        if min(needs.values()) >= base + (extra > 0):
-            # the first round saturates nobody, so it spends the whole budget
-            return {v: g for i, v in enumerate(vids) if (g := base + ((i - rr) % m < extra))}
         remaining = budget
         used: dict[int, int] = {}
         while remaining > 0 and needs:
@@ -788,17 +794,8 @@ class NetworkEnv:
                     if end > t:
                         t = end
                         continue
-            # an uncontended tick grants every vehicle exactly its need
-            if sum(needs.values()) <= symbols_per_tick:
-                used = needs
-            elif len(needs) == 1:
-                # a lone schedulable vehicle takes the whole budget
-                used = dict.fromkeys(needs, symbols_per_tick)
-            else:
-                used = self._water_fill(needs, symbols_per_tick, rr + t)
-
             now_end = now_ms + tick_ms
-            for v, sym in used.items():
+            for v, sym in self._water_fill(needs, symbols_per_tick, rr + t).items():
                 symbols_used[v] += sym
                 bits = int(sym * re_sym * eff_list[at + v])
                 queue_bits[v] -= min(bits, queue_bits[v])
@@ -824,16 +821,13 @@ class NetworkEnv:
                 d_max, d_min = float(max(values)), float(min(values))
                 total = sum(counts)
                 d_mean = sum(map(operator.mul, values, counts)) / total
-                if d_min == d_max:
-                    d_std = 0.0
-                else:
-                    # numpy's two-pass std, spelled out without its wrapper:
-                    # d_mean is its mean, and each run's squared deviation,
-                    # repeated, is the summand array of its second pass
-                    pairs = np.array(runs)
-                    x = pairs[0::2] - d_mean
-                    x *= x
-                    d_std = math.sqrt(np.add.reduce(x.repeat(pairs[1::2])) / total)
+                # numpy's two-pass std, spelled out without its wrapper:
+                # d_mean is its mean, and each run's squared deviation,
+                # repeated, is the summand array of its second pass
+                pairs = np.array(runs)
+                x = pairs[0::2] - d_mean
+                x *= x
+                d_std = math.sqrt(np.add.reduce(x.repeat(pairs[1::2])) / total)
             else:
                 # nothing delivered: saturate at the residency bound
                 d_mean = d_max = d_min = cfg.queue_drop_ms

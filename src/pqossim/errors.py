@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
 
 import math
 
@@ -16,3 +16,14 @@ def check_finite(config) -> None:
     for name, value in vars(config).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def read_utf8(path, error: type[ValueError] = ValueError) -> str:
+    """The text of the file at `path`; bytes that are not UTF-8 raise `error` naming the path and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import read_utf8
+
 # Element budget per temporary difference block in the dense path; chunking
 # the source rows bounds memory without changing any result.
 _BLOCK_ELEMENTS = 4_000_000
@@ -86,8 +88,7 @@ def chamfer_sym_accelerated(reference, candidate) -> float:
 
 def load_point_cloud(path) -> np.ndarray:
     """Read a plain-text cloud: one point per line, three numbers each."""
-    with open(path) as fh:
-        text = fh.read()
+    text = read_utf8(path)
     if not text.strip():
         raise ValueError(f"{path}: point-cloud file is empty")
     try:

@@ -423,3 +423,54 @@ def test_cli_rejects_a_bad_checkpoint_before_any_output(tmp_path, capsys, conten
         err = capsys.readouterr().err
         assert err.startswith(f"error: {checkpoint}: {BAD_CHECKPOINTS[content]}") and err.count("\n") == 1, err
         assert not out.exists()
+
+
+def test_cli_test_reads_the_mcs_table_once(tmp_path, monkeypatch, capsys):
+    import builtins
+    import io
+
+    from pqossim.link import DEFAULT_MCS_TABLE
+
+    table = tmp_path / "mcs.txt"
+    table.write_text("".join(f"{sinr} {eff}\n" for sinr, eff in DEFAULT_MCS_TABLE.tolist()))
+    cfg = write_tiny_config(tmp_path)
+    cfg.write_text(cfg.read_text() + f"channel.mcs_table_path = {table}\n")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(table):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    assert main(
+        ["test", "--config", str(cfg), "--profile", "quick", "--policy", "constant:1452",
+         "--episodes", "1", "--out", str(tmp_path / "t")]
+    ) == 0
+    # validation reads it, and the env runs the table validation read
+    assert len(opened) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["test", "validate-metric"])
+def test_cli_names_a_config_or_cloud_file_that_is_not_utf8(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    out = tmp_path / "out"
+    good = tmp_path / "ok.xyz"
+    good.write_text("0 0 0\n")
+    if command == "test":
+        bad.write_bytes(b"sim.n_vehicles = 1\n# caf\xff\nrun.test_episodes = 1\n")
+        args = ["test", "--config", str(bad), "--profile", "quick", "--policy", "constant:1452", "--out", str(out)]
+    else:
+        bad.write_bytes(b"0 0 0\n1 \xff 0\n")
+        args = ["validate-metric", str(bad), str(good)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text (invalid start byte)\n"
+    assert not out.exists()
+    # a file that is missing is still an i/o error
+    args[args.index(str(bad))] = str(tmp_path / "missing.txt")
+    assert main(args) == 3
+    assert not out.exists()
+    capsys.readouterr()
