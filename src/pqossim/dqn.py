@@ -127,6 +127,10 @@ class QNetwork:
         self.flat = flat
         self.weights: list[np.ndarray] = params[0::2]
         self.biases: list[np.ndarray] = params[1::2]
+        # `forward`'s one-row pass, its input row and its q-row, reused every call
+        outs, pre = _workspace(np.empty((1, self.n_inputs)), (1,), self.layer_sizes)
+        self._row_plan = _forward_plan(self.weights, self.biases, outs, pre)
+        self._row, self._row_q = outs[0][0], outs[-1][0]
         return self
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
@@ -142,39 +146,31 @@ class QNetwork:
         return self.layer_sizes[-1]
 
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
+        return self.views(self.flat)
 
     def copy_from(self, other: "QNetwork") -> None:
         np.copyto(self.flat, other.flat)
 
     def clone(self) -> "QNetwork":
-        out = QNetwork(self.layer_sizes)
-        out.copy_from(self)
-        return out
+        return QNetwork(self.layer_sizes)._bind(self.flat.copy())
 
     def forward_batch(self, states: np.ndarray) -> np.ndarray:
         """(B, n_inputs) -> (B, n_actions) q-values."""
-        h = np.asarray(states, dtype=np.float64)
-        if h.ndim != 2 or h.shape[1] != self.n_inputs:
-            raise ValueError(f"expected (B, {self.n_inputs}) states, got {h.shape}")
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
-            h += b
-            if i != last:
-                np.maximum(h, 0.0, out=h)
-        return h
+        x = np.asarray(states, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.n_inputs:
+            raise ValueError(f"expected (B, {self.n_inputs}) states, got {x.shape}")
+        outs, pre = _workspace(x, x.shape[:1], self.layer_sizes)
+        _layers(_forward_plan(self.weights, self.biases, outs, pre))
+        return outs[-1]
 
     def forward(self, state) -> np.ndarray:
         """Single-state q-values, shape (n_actions,)."""
         s = np.asarray(state, dtype=np.float64)
         if s.shape != (self.n_inputs,):
             raise ValueError(f"expected state of shape ({self.n_inputs},), got {s.shape}")
-        return self.forward_batch(s[None, :])[0]
+        self._row[...] = s
+        _layers(self._row_plan)
+        return self._row_q.copy()
 
 
 def forward(net: QNetwork, state) -> np.ndarray:

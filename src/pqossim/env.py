@@ -307,7 +307,9 @@ class NetworkEnv:
         self._full_bits = config.packet_size_bytes * 8
         self._re_sym = config.re_per_symbol
         self._steps = config.steps_per_episode
-        self._frame_interval_ms = 1000.0 / config.frame_rate_hz
+        # (a, b): frame k arrives on episode tick k * a // b, the tick holding k / frame_rate_hz s exactly
+        num, den = config.frame_rate_hz.as_integer_ratio()
+        self._frame_clock = (1000 * den, num * config.tick_ms)
         # the route as four segments counterclockwise from (a, -b): right
         # side, top, left side, bottom; each has a start (arc length and
         # corner) and a unit direction
@@ -349,6 +351,7 @@ class NetworkEnv:
         self._queues = [deque() for _ in range(n)]
         self._queue_bits = [0] * n
         self._step_count = 0
+        self._next_frame = 0
         self._block_start = self._block_end = 0
         self.total_generated = 0
         self.total_delivered = 0
@@ -678,7 +681,6 @@ class NetworkEnv:
 
         period = self._step_count
         start_ms = period * cfg.control_period_ms
-        end_ms = start_ms + cfg.control_period_ms
         ticks = cfg.ticks_per_period
         tick_ms = cfg.tick_ms
         re_sym = self._re_sym
@@ -698,14 +700,15 @@ class NetworkEnv:
 
         # frames arriving at each tick offset within this period (same for
         # the fleet), and the ticks they arrive on, in order, ending with `ticks`
-        interval = self._frame_interval_ms
+        a, b = self._frame_clock
+        first = period * ticks
         arrivals: dict[int, int] = {}
-        k = math.ceil(start_ms / interval - 1e-9)
-        while k * interval < end_ms - 1e-9:
-            t = int((k * interval - start_ms) // tick_ms)
+        k = self._next_frame
+        while (t := k * a // b - first) < ticks:
             arrivals[t] = arrivals.get(t, 0) + 1
             k += 1
-        arrival_ticks = [*sorted(arrivals), ticks]
+        self._next_frame = k
+        arrival_ticks = [*arrivals, ticks]
 
         queues = self._queues
         queue_bits = self._queue_bits

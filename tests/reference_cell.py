@@ -1,15 +1,16 @@
 """A per-packet reference model of the cell's queues, scheduler and KPIs.
 
 Written from the README's model notes, not from `pqossim.env`: it shares
-none of the env's burst encoding, packet-count rule, drains, stretches or
-round-robin tables. Every vehicle holds one deque of single packets; every
-tick queues the frames that arrive in it, drops the packets older than the
-residency bound, water-fills the symbol budget and sends the granted bits
-packet by packet, and every delivered packet keeps its own delay.
+none of the env's frame clock, burst encoding, packet-count rule, drains,
+stretches or round-robin tables. Every vehicle holds one deque of single
+packets; every tick queues the frames whose exact send time falls in it
+(in `Fraction` arithmetic), drops the packets older than the residency
+bound, water-fills the symbol budget and sends the granted bits packet by
+packet, and every delivered packet keeps its own delay.
 
 It takes the channel from the env under test (each period's per-tick
 efficiencies and its mean SINR and MCS), so a differential test checks
-queueing, scheduling and aggregation, not channel arithmetic.
+frame timing, queueing, scheduling and aggregation, not channel arithmetic.
 """
 
 from __future__ import annotations
@@ -68,17 +69,16 @@ class ReferenceCell:
     def _frame_ticks(self) -> list[int]:
         """The tick of this period each frame arrives in, one entry per frame.
 
-        This is the env's own float rule, so that every frame lands in the
-        same tick: frame timing is an input here, not under test.
+        Frame k of the episode is sent at exactly k / frame_rate_hz seconds
+        and arrives in the tick holding that time.
         """
         cfg = self.config
-        start = self.period * cfg.control_period_ms
-        end = start + cfg.control_period_ms
-        interval = 1000.0 / cfg.frame_rate_hz
+        per_tick = Fraction(cfg.frame_rate_hz) * cfg.tick_ms / 1000  # frames per tick, exactly
+        first_tick = self.period * cfg.ticks_per_period
         ticks = []
-        k = math.ceil(start / interval - 1e-9)
-        while k * interval < end - 1e-9:
-            ticks.append(int((k * interval - start) // cfg.tick_ms))
+        k = math.ceil(first_tick * per_tick)
+        while (tick := math.floor(k / per_tick)) < first_tick + cfg.ticks_per_period:
+            ticks.append(tick - first_tick)
             k += 1
         return ticks
 

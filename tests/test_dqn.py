@@ -90,6 +90,29 @@ def test_forward_finite_closure():
         assert np.all(np.isfinite(q))
 
 
+def _plain_forward(net, states):
+    """The textbook pass, a fresh array per step: h @ w + b, then ReLU but at the head."""
+    h = states
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        if i < len(net.weights) - 1:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+@pytest.mark.parametrize("layer_sizes", [(8, 12, 6, 3), (8, 3), (8, 16, 5, 4, 3)])
+def test_forward_and_forward_batch_equal_the_plain_pass_bit_for_bit(layer_sizes):
+    rng = np.random.default_rng(7)
+    net = QNetwork(layer_sizes, rng)
+    for b in net.biases:
+        b[:] = rng.normal(size=b.shape)
+    states = rng.normal(size=(200, 8))
+    assert net.forward_batch(states).tobytes() == _plain_forward(net, states).tobytes()
+    for s in states:
+        # one row is its own (1, 8) pass: a batched row may differ in the last ulp
+        assert forward(net, s).tobytes() == _plain_forward(net, s[None, :])[0].tobytes()
+
+
 def test_forward_rejects_wrong_length():
     net = QNetwork()
     with pytest.raises(ValueError):

@@ -90,6 +90,17 @@ def test_two_frames_per_period_at_20hz():
     assert 18 <= kpis[0].packets_generated <= 32
 
 
+def test_a_frame_due_at_a_period_start_is_generated():
+    # at 36.25 Hz frame 145 is due at exactly 4 s, the start of period 40,
+    # though 145 float frame intervals of 1000 / 36.25 ms fall just short of it
+    env = NetworkEnv(quick_cfg(frame_rate_hz=36.25, episode_duration_s=4.1, packet_size_bytes=10**7))
+    env.reset(12)
+    # packets larger than any frame: each frame is one packet
+    frames = [env.step([MODE_1452])[1][0].packets_generated for _ in range(41)]
+    assert sum(frames) == 149
+    assert frames[40] == 4
+
+
 def test_light_load_reaches_prr_one():
     env = NetworkEnv(quick_cfg())
     env.reset(5)

@@ -1,6 +1,8 @@
 """Property tests: cell invariants over random configs and action sequences."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -11,10 +13,13 @@ from pqossim.config import default_config
 from pqossim.env import NetworkEnv, SimConfig
 from pqossim.modes import CANONICAL_MODES, MODE_1450, MODE_RAW
 
+# frame rates in 2-40 Hz, half of them rounded to 0.01 Hz
+_RATES = st.one_of(st.floats(2.0, 40.0), st.floats(2.0, 40.0).map(lambda r: round(r, 2)))
+
 _CONFIGS = st.builds(
     SimConfig,
     n_vehicles=st.integers(1, 6),
-    frame_rate_hz=st.floats(2.0, 40.0),
+    frame_rate_hz=_RATES,
     # up to 40 KB, so that frames of the 17 KB mode often fit in one packet
     packet_size_bytes=st.integers(200, 40_000),
     queue_drop_ms=st.floats(1.0, 500.0),
@@ -46,6 +51,35 @@ def test_cell_invariants_hold_every_step(cfg, data):
             assert k.delay_std >= 0.0
             assert 0.0 <= k.prr <= 1.0
             assert 0 <= k.packets_delivered <= k.packets_generated
+
+
+# k frames in p 100 ms periods: every p periods a frame is due exactly at a
+# period's start, where a float frame interval may round it to just before
+_PERIOD_LOCKED_RATES = st.integers(1, 40).flatmap(
+    lambda p: st.integers(-(-p // 5), 4 * p).map(lambda k: 10 * k / p)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rate=st.one_of(_RATES, _PERIOD_LOCKED_RATES),
+    tick_ms=st.sampled_from([1, 2, 5]),
+    periods=st.integers(1, 40),
+    n=st.integers(1, 2),
+)
+def test_every_frame_of_the_episode_is_generated(rate, tick_ms, periods, n):
+    # packets larger than any frame: each frame is one packet
+    cfg = SimConfig(frame_rate_hz=rate, tick_ms=tick_ms, episode_duration_s=periods / 10,
+                    packet_size_bytes=10**7, n_vehicles=n)
+    env = NetworkEnv(cfg)
+    env.reset(5)
+    generated = [0] * n
+    while not env.done:
+        for v, k in enumerate(env.step([MODE_1450] * n)[1]):
+            generated[v] += k.packets_generated
+    # frame k is sent at k / rate s; count the k with k * 1000 / rate < episode ms
+    frames = math.ceil(Fraction(periods * cfg.control_period_ms) * Fraction(rate) / 1000)
+    assert generated == [frames] * n
 
 
 def _step_side_by_side(cfg, seed, action_lists, setting, values):
@@ -83,7 +117,7 @@ def _counters(env):
 _STRETCH_CONFIGS = st.builds(
     SimConfig,
     n_vehicles=st.integers(1, 6),
-    frame_rate_hz=st.floats(2.0, 40.0),
+    frame_rate_hz=_RATES,
     queue_drop_ms=st.floats(1.0, 500.0).filter(lambda d: d != int(d)),
     tick_ms=st.sampled_from([1, 2, 5]),
     tx_power_dbm=st.one_of(st.just(23.0), st.floats(-25.0, 0.0)),
@@ -125,7 +159,7 @@ def test_stretch_drain_matches_scalar_ticks(cfg, data):
 _LONE_CONFIGS = st.builds(
     SimConfig,
     n_vehicles=st.integers(1, 3),
-    frame_rate_hz=st.floats(2.0, 40.0),
+    frame_rate_hz=_RATES,
     queue_drop_ms=st.floats(1.0, 500.0),
     tick_ms=st.sampled_from([1, 2, 5]),
     # below about 0 dBm the cell edge falls into outage

@@ -18,7 +18,8 @@ from pqossim.modes import CANONICAL_MODES
 _CONFIGS = st.builds(
     SimConfig,
     n_vehicles=st.integers(1, 6),
-    frame_rate_hz=st.floats(2.0, 40.0),
+    # half of the rates rounded to 0.01 Hz
+    frame_rate_hz=st.one_of(st.floats(2.0, 40.0), st.floats(2.0, 40.0).map(lambda r: round(r, 2))),
     # up to 40 KB, so that frames of the 17 KB mode often fit in one packet
     packet_size_bytes=st.integers(200, 40_000),
     # whole milliseconds let a packet's age equal the bound, where the drop is strict
