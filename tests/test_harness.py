@@ -5,13 +5,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqossim.config import apply_kv, default_config
 from pqossim.dqn import AgentConfig, DqnAgent, ReplayBuffer
 from pqossim.env import NetworkEnv, SimConfig
 from pqossim.harness import (
     FIGURE_FILES,
+    EpisodeRecord,
+    _percentiles,
     _run_episode,
+    _summarize,
     emit_figures_csv,
     read_records_csv,
     run_offline_training,
@@ -355,3 +360,46 @@ def test_rerun_is_byte_identical(tmp_path):
         run_offline_training(cfg, tmp_path / d)
     for name in ("records.csv", "episodes.csv", *FIGURE_FILES):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+_COLUMNS = {
+    "uniform": lambda rng, n: rng.uniform(0.0, 1.0, n),
+    "whole_ms": lambda rng, n: rng.integers(0, 50, n).astype(np.float64),  # many ties
+    "reward_grid": lambda rng, n: rng.integers(0, 21, n) / 20.0,  # maps onto a grid in [-1, 1]
+}
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    delay_kind=st.sampled_from(["uniform", "whole_ms"]),
+    reward_kind=st.sampled_from(["uniform", "reward_grid"]),
+    episodes=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_figure_statistics_are_numpys_bit_for_bit(n, delay_kind, reward_kind, episodes, seed):
+    """The figure pass's percentiles, medians and whiskers equal numpy's, which stays the reference."""
+    rng = np.random.default_rng(seed)
+    delays, raw = _COLUMNS[delay_kind](rng, n), _COLUMNS[reward_kind](rng, n)
+    rewards = 2.0 * raw - 1.0
+    for column in (delays, raw, rewards):
+        for pcts in ([25.0, 50.0, 75.0], range(101)):
+            assert _percentiles(np.sort(column), pcts).tobytes() == np.percentile(column, pcts).tobytes()
+
+    records = [
+        EpisodeRecord(e, 0.0, "p", range(len(d)), Counter(), Counter(), 0, d, r)
+        for e, (d, r) in enumerate(zip(np.array_split(delays, episodes), np.array_split(raw, episodes)))
+    ]
+    summary, ordered = _summarize(records, "p")
+    p25, med, p75 = np.percentile(delays, [25.0, 50.0, 75.0])
+    iqr = p75 - p25
+    assert _bits(summary.delay_p25, summary.delay_median, summary.delay_p75) == _bits(p25, med, p75)
+    assert _bits(summary.delay_whisker_low, summary.delay_whisker_high) == _bits(
+        delays[delays >= p25 - 1.5 * iqr].min(), delays[delays <= p75 + 1.5 * iqr].max()
+    )
+    assert _bits(summary.median_reward, summary.max_reward) == _bits(np.median(rewards), rewards.max())
+    assert ordered.tobytes() == np.sort(rewards).tobytes()

@@ -2,8 +2,8 @@
 
 Each period's rows go to disk as the period ends, and a record keeps only
 its figure columns (16 B per vehicle-period), so a paper-length phase fits
-in bounded memory. The phases run in a child process, whose `ru_maxrss`
-is its own.
+in bounded memory: its figure pass adds one 8 B working column at a time.
+The phases run in a child process, whose `ru_maxrss` is its own.
 """
 
 import json
@@ -33,9 +33,9 @@ for episodes in (2, 12):
 print(json.dumps({"peaks": peaks, "rows": [e * config.sim.steps_per_episode * 5 for e in (2, 12)]}))
 """
 
-# the figure columns take 16 B per vehicle-period; rows kept in memory take
-# several hundred
-MAX_BYTES_PER_ROW = 64
+# 16 B kept per row plus one 8 B working column at figure time; rows kept in
+# memory take several hundred
+MAX_BYTES_PER_ROW = 40
 
 
 def test_peak_memory_is_flat_in_phase_length():
