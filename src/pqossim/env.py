@@ -62,9 +62,6 @@ _STRETCH_MIN_VEHICLE_TICKS = 40
 # arrays stay a few tens of KB, whatever the episode length.
 _CHANNEL_BLOCK_VALUES = 2048
 
-# Payload normals are drawn from their stream this many at a time.
-_PAYLOAD_DRAWS = 64
-
 
 @dataclass
 class SimConfig:
@@ -131,8 +128,12 @@ class SimConfig:
         steps = self.episode_duration_s * 1000.0 / self.control_period_ms
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ConfigError("control_period_ms must divide episode_duration_s * 1000")
-        if self.frame_rate_hz <= 0:
-            raise ConfigError("frame_rate_hz must be > 0")
+        # the frame loop in `NetworkEnv.step` queues at most one frame per tick
+        num, den = self.frame_rate_hz.as_integer_ratio()
+        if not 0 < num * int(self.tick_ms) <= 1000 * den:
+            raise ConfigError(
+                f"frame_rate_hz must be > 0 and at most one frame per tick ({1000 / self.tick_ms:g} Hz)"
+            )
         if int(self.n_vehicles) != self.n_vehicles or self.n_vehicles < 1:
             raise ConfigError(f"n_vehicles must be a positive integer, got {self.n_vehicles}")
         if self.pathloss_exponent <= 0:
@@ -151,8 +152,9 @@ class SimConfig:
             raise ConfigError("packet_size_bytes must be >= 1")
         if self.queue_drop_ms <= 0:
             raise ConfigError("queue_drop_ms must be > 0")
-        if self.payload_cv < 0:
-            raise ConfigError("payload_cv must be >= 0")
+        # above 1 the normal payload mostly clamps at 1 KB, and huge values overflow the packet counts
+        if not 0 <= self.payload_cv <= 1:
+            raise ConfigError("payload_cv must be in [0, 1]")
         if self.symbols_per_tick < 1:
             raise ConfigError("symbols_per_tick must be >= 1")
         if self.sinr_min_db >= self.sinr_max_db:
@@ -340,7 +342,6 @@ class NetworkEnv:
         mob_ss, shadow_ss, payload_ss = ss.spawn(3)
         self._rng_shadow = np.random.default_rng(shadow_ss)
         self._rng_payload = np.random.default_rng(payload_ss)
-        self._normals: list[float] = []  # payload draws not yet used, next one last
 
         n = cfg.n_vehicles
         rng_mob = np.random.default_rng(mob_ss)
@@ -376,9 +377,8 @@ class NetworkEnv:
         """Compute the channel of `periods` whole periods from the current one.
 
         Keeps the per-tick efficiency, shape (periods * T, n), each period's
-        tick means of SINR and MCS and, if any tick is in outage, per vehicle
-        the block rows whose eff > 0 differs from the row before in the same
-        period.
+        tick means of SINR and MCS, and whether any tick of the block is in
+        outage.
         """
         cfg = self.config
         n = cfg.n_vehicles
@@ -416,21 +416,13 @@ class NetworkEnv:
         self._eff = eff
         self._mean_sinr = (sinr_db.reshape(by_period).sum(axis=1) / ticks).tolist()
         self._mean_mcs = (mcs_idx.reshape(by_period).sum(axis=1, dtype=np.float64) / ticks).tolist()
-        self._outage_flips = None
-        if not eff.all():
-            self._outage_flips = flips = [[] for _ in range(n)]
-            p, t, v = np.nonzero(np.diff(eff.reshape(by_period) > 0.0, axis=1))
-            for u, w in zip((p * ticks + t + 1).tolist(), v.tolist()):
-                flips[w].append(u)
+        self._outage = not eff.all()
         self._block_start, self._block_end = self._step_count, self._step_count + periods
 
     def _enqueue_frame(self, vehicle: int, arrival_ms: int, period: int, mode: ApplicationMode) -> int:
         """Queue one frame as a burst; returns its packet count."""
         cfg = self.config
-        if not self._normals:
-            # one block draw is the same stream as as many scalar draws
-            self._normals = self._rng_payload.standard_normal(_PAYLOAD_DRAWS).tolist()[::-1]
-        payload_kb = mode.mean_payload_kb * (1.0 + cfg.payload_cv * self._normals.pop())
+        payload_kb = mode.mean_payload_kb * (1.0 + cfg.payload_cv * self._rng_payload.standard_normal())
         payload_bytes = int(round(max(1.0, payload_kb) * 1000.0))
         n_packets = -(-payload_bytes // cfg.packet_size_bytes)
         self._queues[vehicle].append([arrival_ms, period, n_packets, 8 * payload_bytes, 0])
@@ -696,19 +688,19 @@ class NetworkEnv:
         eff = self._eff[base : base + ticks]
         # the same as Python floats, tick after tick, for the scalar ticks
         eff_list = eff.ravel().tolist()
-        outage_flips = self._outage_flips
 
-        # frames arriving at each tick offset within this period (same for
-        # the fleet), and the ticks they arrive on, in order, ending with `ticks`
+        # the ticks of this period a frame arrives on (at most one each, the
+        # same for the fleet), in order, ending with `ticks`
         a, b = self._frame_clock
         first = period * ticks
-        arrivals: dict[int, int] = {}
+        arrival_ticks = []
         k = self._next_frame
         while (t := k * a // b - first) < ticks:
-            arrivals[t] = arrivals.get(t, 0) + 1
+            arrival_ticks.append(t)
             k += 1
         self._next_frame = k
-        arrival_ticks = [*arrivals, ticks]
+        arrival_ticks.append(ticks)
+        arrivals = set(arrival_ticks)
 
         queues = self._queues
         queue_bits = self._queue_bits
@@ -728,11 +720,9 @@ class NetworkEnv:
         t = 0
         while t < ticks:
             now_ms = start_ms + t * tick_ms
-            frames = arrivals.get(t)
-            if frames:
-                for _ in range(frames):
-                    for v in range(n):
-                        gen_counts[v] += self._enqueue_frame(v, now_ms, period, modes[v])
+            if t in arrivals:
+                for v in range(n):
+                    gen_counts[v] += self._enqueue_frame(v, now_ms, period, modes[v])
             elif not any(queue_bits):
                 # empty cell: nothing to drop, schedule or drain before the next frame
                 t = arrival_ticks[bisect.bisect_right(arrival_ticks, t)]
@@ -779,13 +769,12 @@ class NetworkEnv:
                 limit = bisect.bisect_right(
                     range(t + 1, limit), oldest, key=lambda u: start_ms + u * tick_ms - drop_ms
                 ) + t + 1
-                if outage_flips is not None:
-                    for v in range(n):
-                        if queue_bits[v] > 0:
-                            flips = outage_flips[v]
-                            i = bisect.bisect_right(flips, base + t)
-                            if i < len(flips) and flips[i] < base + limit:
-                                limit = flips[i] - base
+                if self._outage:
+                    # up to the first tick where a backlogged vehicle's eff > 0 differs from tick t's
+                    on = eff[t:limit, [v for v in range(n) if queue_bits[v]]] > 0.0
+                    changed = (on[1:] != on[0]).any(axis=1)
+                    if changed.any():
+                        limit = t + 1 + int(changed.argmax())
                 if (limit - t) * len(needs) < _STRETCH_MIN_VEHICLE_TICKS:
                     scalar_until = limit
                 else:

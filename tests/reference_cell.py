@@ -1,16 +1,20 @@
-"""A per-packet reference model of the cell's queues, scheduler and KPIs.
+"""A per-packet reference model of the cell: channel, queues, scheduler and KPIs.
 
 Written from the README's model notes, not from `pqossim.env`: it shares
-none of the env's frame clock, burst encoding, packet-count rule, drains,
-stretches or round-robin tables. Every vehicle holds one deque of single
-packets; every tick queues the frames whose exact send time falls in it
-(in `Fraction` arithmetic), drops the packets older than the residency
-bound, water-fills the symbol budget and sends the granted bits packet by
-packet, and every delivered packet keeps its own delay.
+none of the env's channel blocks, frame clock, burst encoding,
+packet-count rule, drains, stretches or round-robin tables.
 
-It takes the channel from the env under test (each period's per-tick
-efficiencies and its mean SINR and MCS), so a differential test checks
-frame timing, queueing, scheduling and aggregation, not channel arithmetic.
+`ReferenceChannel` steps the channel one tick at a time in scalar Python:
+the route as four plain branches on the arc length, the position at the
+tick's start, `math.hypot` and `math.log10`, one AR(1) chain per vehicle
+fed by one size-n normal draw per tick, and a linear scan of the MCS
+thresholds. `ReferenceCell` holds one deque of single packets per vehicle;
+every tick queues the frame whose exact send time falls in it (in
+`Fraction` arithmetic), drops the packets older than the residency bound,
+water-fills the symbol budget on the reference channel's efficiencies and
+sends the granted bits packet by packet, and every delivered packet keeps
+its own delay. So it runs end to end from a config, a seed and a mode
+sequence.
 """
 
 from __future__ import annotations
@@ -20,6 +24,82 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
+
+
+class ReferenceChannel:
+    """The channel of `config`, one tick at a time, seeded like `NetworkEnv.reset(seed)`.
+
+    `mcs_table` replaces the config's table when given.
+    """
+
+    def __init__(self, config, seed: int, mcs_table=None):
+        self.config = config
+        n = config.n_vehicles
+        table = config.mcs_table if mcs_table is None else mcs_table
+        self.thresholds = table.thresholds.tolist()
+        self.efficiencies = table.efficiencies.tolist()
+        # reset spawns (mobility, shadowing, payload) streams from the seed
+        mobility, shadowing, _ = np.random.SeedSequence(seed).spawn(3)
+        self.phases = np.random.default_rng(mobility).uniform(0.0, config.route_perimeter_m, size=n).tolist()
+        self._shadow_rng = np.random.default_rng(shadowing)
+        self.shadow = self._shadow_rng.normal(0.0, config.shadowing_sigma_db, size=n).tolist()
+        self.tick = 0
+
+    def _distance(self, s: float) -> float:
+        """Distance to the gNB at arc length s of the route.
+
+        The route runs counterclockwise from (a, -b): up the right side,
+        along the top, down the left side and back along the bottom.
+        """
+        a, b = self.config.route_half_length_m, self.config.route_half_width_m
+        if s < 2 * b:
+            x, y = a, s - b
+        elif s < 2 * b + 2 * a:
+            x, y = a - (s - 2 * b), b
+        elif s < 4 * b + 2 * a:
+            x, y = -a, b - (s - (2 * b + 2 * a))
+        else:
+            x, y = (s - (4 * b + 2 * a)) - a, -b
+        return math.hypot(x, y)
+
+    def _mcs(self, sinr: float) -> tuple[int, float]:
+        """(MCS index, efficiency) of the highest threshold at or below `sinr`; (0, 0.0) in outage."""
+        above = 0
+        for threshold in self.thresholds:
+            if sinr < threshold:
+                break
+            above += 1
+        return (above - 1, self.efficiencies[above - 1]) if above else (0, 0.0)
+
+    def next_tick(self) -> list[tuple[float, int, float]]:
+        """(SINR dB, MCS index, efficiency) per vehicle for the next tick."""
+        cfg = self.config
+        rho = cfg.shadowing_corr
+        scale = cfg.shadowing_sigma_db * math.sqrt(1.0 - rho * rho)
+        now_s = self.tick * cfg.tick_ms / 1000  # the tick's start
+        self.tick += 1
+        out = []
+        for v, z in enumerate(self._shadow_rng.standard_normal(cfg.n_vehicles).tolist()):
+            self.shadow[v] = z * scale + rho * self.shadow[v]
+            s = (self.phases[v] + cfg.speed_mps * now_s) % cfg.route_perimeter_m
+            pathloss = cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * math.log10(max(self._distance(s), 1.0))
+            sinr = cfg.tx_power_dbm - pathloss + self.shadow[v] - cfg.noise_dbm
+            out.append((sinr, *self._mcs(sinr)))
+        return out
+
+    def next_period(self):
+        """The next control period's ticks and per-vehicle means.
+
+        Returns (ticks, mean SINR, mean MCS): `ticks` holds one
+        `next_tick()` row per tick, and the means are each vehicle's tick
+        means, the SINR one summed exactly (`math.fsum`).
+        """
+        n = self.config.n_vehicles
+        count = self.config.ticks_per_period
+        ticks = [self.next_tick() for _ in range(count)]
+        mean_sinr = [math.fsum(row[v][0] for row in ticks) / count for v in range(n)]
+        mean_mcs = [sum(row[v][1] for row in ticks) / count for v in range(n)]
+        return ticks, mean_sinr, mean_mcs
 
 
 def water_fill(needs: dict[int, int], budget: int, tick: int) -> dict[int, int]:
@@ -49,12 +129,16 @@ def water_fill(needs: dict[int, int], budget: int, tick: int) -> dict[int, int]:
 
 
 class ReferenceCell:
-    """The cell of `config`, one packet at a time, seeded like `NetworkEnv.reset(seed)`."""
+    """The cell of `config`, one packet at a time, seeded like `NetworkEnv.reset(seed)`.
+
+    After each `step`, `last_period` holds that period's `ReferenceChannel.next_period()`.
+    """
 
     def __init__(self, config, seed: int):
         self.config = config
         n = config.n_vehicles
-        # reset spawns (mobility, shadowing, payload) streams from the seed
+        self.channel = ReferenceChannel(config, seed)
+        self.last_period = None
         payload_seed = np.random.SeedSequence(seed).spawn(3)[2]
         self._payload = np.random.default_rng(payload_seed)
         # each packet is [arrival ms, generating period, bits still to send]
@@ -96,13 +180,11 @@ class ReferenceCell:
         self.generated += count
         return count
 
-    def step(self, modes, eff, mean_sinr, mean_mcs) -> list[tuple]:
-        """Run one control period; returns per vehicle the ten `StepKpis` values.
-
-        `eff` is the period's (ticks, n) spectral efficiencies and
-        `mean_sinr`/`mean_mcs` its per-vehicle tick means.
-        """
+    def step(self, modes) -> list[tuple]:
+        """Run one control period; returns per vehicle the ten `StepKpis` values."""
         cfg = self.config
+        self.last_period = self.channel.next_period()
+        channel, mean_sinr, mean_mcs = self.last_period
         n = cfg.n_vehicles
         ticks = cfg.ticks_per_period
         re_sym = cfg.re_per_symbol
@@ -125,13 +207,14 @@ class ReferenceCell:
                 while q and q[0][0] < cutoff:
                     self.backlog[v] -= q.popleft()[2]
                     self.dropped += 1
-                if self.backlog[v] > 0 and eff[t][v] > 0.0:
-                    needs[v] = math.ceil(self.backlog[v] / (re_sym * eff[t][v]))
+                eff = channel[t][v][2]
+                if self.backlog[v] > 0 and eff > 0.0:
+                    needs[v] = math.ceil(self.backlog[v] / (re_sym * eff))
             grants = water_fill(needs, budget, self.period * ticks + t)
             assert sum(grants.values()) == min(budget, sum(needs.values())), "symbols left idle"
             for v, sym in grants.items():
                 symbols[v] += sym
-                bits = int(sym * re_sym * eff[t][v])
+                bits = int(sym * re_sym * channel[t][v][2])
                 self.backlog[v] -= min(bits, self.backlog[v])
                 q = self.queues[v]
                 while bits > 0 and q:

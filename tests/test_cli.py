@@ -218,6 +218,20 @@ def test_cli_rejects_infinite_config_values(tmp_path, capsys):
         assert err == f"error: {cfg}:1: {key} must be a finite number, got 'inf'\n"
 
 
+def test_cli_rejects_more_than_one_frame_per_tick(tmp_path, capsys):
+    # a rate this high once queued every frame of a tick one by one, and never finished
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("sim.frame_rate_hz = 1e300\n")
+    capsys.readouterr()
+    code = main(
+        ["test", "--config", str(cfg), "--profile", "quick", "--policy", "constant:1452",
+         "--episodes", "1", "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: frame_rate_hz must be > 0 and at most one frame per tick (1000 Hz)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_dql_test_checks_the_frozen_weights(tmp_path, monkeypatch, capsys):
     import pqossim.cli as cli
     from pqossim.dqn import DqnAgent

@@ -329,6 +329,7 @@ def test_step_lifecycle_errors():
         ("control_period_ms", 33),  # 33 not divisible into 2000 ms
         ("tick_ms", 3),  # does not divide 100
         ("frame_rate_hz", 0.0),
+        ("frame_rate_hz", 1000.5),  # two frames in some 1 ms tick
         ("pathloss_exponent", -1.0),
         ("shadowing_sigma_db", -1.0),
         ("shadowing_corr", 1.0),
@@ -337,6 +338,7 @@ def test_step_lifecycle_errors():
         ("packet_size_bytes", 0),
         ("queue_drop_ms", 0.0),
         ("payload_cv", -0.1),
+        ("payload_cv", 1e306),  # overflowed the packet count
         ("symbols_per_tick", 0),
         ("sinr_min_db", 41.0),
     ],

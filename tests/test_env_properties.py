@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import pqossim.env as env_module
@@ -191,6 +191,47 @@ def test_lone_drain_matches_the_scalar_ticks(cfg, data):
         assert np.array_equal(states, ref_states)
         assert kpis == ref_kpis
         assert _counters(envs[0]) == _counters(envs[1])
+
+
+# no shrink phase: shrinking a failure here takes minutes, failing on the drawn example a second
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(cfg=_STRETCH_CONFIGS, data=st.data())
+def test_stretches_run_only_where_their_precondition_holds(cfg, data):
+    """Every stretch runs only ticks that meet `_drain_stretch`'s precondition.
+
+    Over the ticks a stretch ran, no backlogged vehicle enters or leaves
+    outage, no frame arrives after its first tick and no queued burst
+    crosses the drop cutoff. Below about 0 dBm, outages are common.
+    """
+    n = cfg.n_vehicles
+    ticks = cfg.ticks_per_period
+    frames_per_tick = Fraction(cfg.frame_rate_hz) * cfg.tick_ms / 1000
+    env = NetworkEnv(cfg)
+    env.reset(cfg.rng_seed)
+    drain = env._drain_stretch
+
+    def checked(t0, t1, sched, eff, rr, start_ms, period, *accumulators):
+        backlogged = [v for v, bits in enumerate(env._queue_bits) if bits]
+        oldest = min(q[0][env_module._ARRIVAL] for q in env._queues if q)
+        end, delivered = drain(t0, t1, sched, eff, rr, start_ms, period, *accumulators)
+        on = (eff[t0, backlogged] > 0.0).tolist()
+        for t in range(t0 + 1, end):
+            assert (eff[t, backlogged] > 0.0).tolist() == on, f"period {period}, tick {t}: outage changed"
+            # frame k arrives on episode tick u when u <= k / frames_per_tick < u + 1
+            u = period * ticks + t
+            assert math.ceil(u * frames_per_tick) >= (u + 1) * frames_per_tick, f"period {period}, tick {t}: frame"
+            cutoff = start_ms + t * cfg.tick_ms - cfg.queue_drop_ms
+            assert oldest >= cutoff, f"period {period}, tick {t}: a burst crossed the drop cutoff"
+        return end, delivered
+
+    env._drain_stretch = checked
+    while not env.done:
+        env.step(data.draw(st.lists(st.sampled_from(CANONICAL_MODES), min_size=n, max_size=n)))
 
 
 def test_lone_drain_runs_every_busy_tick_at_one_vehicle(monkeypatch):
